@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "origami/cluster/replay.hpp"
 #include "origami/fault/fault.hpp"
@@ -11,9 +12,22 @@
 #include "origami/mds/mds_server.hpp"
 #include "origami/net/network.hpp"
 #include "origami/wl/generators.hpp"
+#include "support/fault_plane_golden_configs.hpp"
 
 namespace origami {
 namespace {
+
+// Captured by tools/fault_plane_goldens.cpp; regenerate only with it and
+// audit the diff.
+#include "support/fault_plane_goldens.inc"
+
+std::string fault_plane_golden(const std::string& key) {
+  for (const FaultPlaneGolden& g : kFaultPlaneGoldens) {
+    if (key == g.key) return g.fp;
+  }
+  ADD_FAILURE() << "no fault-plane golden for " << key;
+  return {};
+}
 
 using sim::SimTime;
 
@@ -551,6 +565,34 @@ TEST(LiveReplayFaults, SameSeedIsReproducible) {
   EXPECT_EQ(ra.faults.retries, rb.faults.retries);
   EXPECT_EQ(ra.faults.fenced_rejections, rb.faults.fenced_rejections);
   EXPECT_EQ(ra.faults.journal_records, rb.faults.journal_records);
+}
+
+// ------------------------------------------------------ fault-plane goldens --
+// Crash storage, failover, restore and the journal roll-up pinned byte for
+// byte in both engines (tests/support/fault_plane_golden_configs.hpp).
+
+TEST(FaultPlaneGolden, EpochKvBackedSyncCommit) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    EXPECT_EQ(testing::fault_plane_epoch_run(seed, /*async=*/false),
+              fault_plane_golden("epoch-kv-sync/" + std::to_string(seed)))
+        << "seed " << seed;
+  }
+}
+
+TEST(FaultPlaneGolden, EpochKvBackedAsyncCommit) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    EXPECT_EQ(testing::fault_plane_epoch_run(seed, /*async=*/true),
+              fault_plane_golden("epoch-kv-async/" + std::to_string(seed)))
+        << "seed " << seed;
+  }
+}
+
+TEST(FaultPlaneGolden, LiveGroupCommittingShardsUnderPolicy) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    EXPECT_EQ(testing::fault_plane_live_run(seed),
+              fault_plane_golden("live-kv-async/" + std::to_string(seed)))
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

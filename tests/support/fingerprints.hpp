@@ -13,6 +13,7 @@
 
 #include "origami/cluster/metrics.hpp"
 #include "origami/fs/live_replay.hpp"
+#include "origami/recovery/invariants.hpp"
 
 namespace origami::testing {
 
@@ -94,6 +95,73 @@ inline std::string live_stats_fingerprint(const fs::LiveReplayStats& s) {
       << f.torn_tail_truncations << ' ' << f.fenced_rejections << ' '
       << f.prepared_migrations << ' ' << f.committed_migrations << ' '
       << f.recovery_windows << '\n';
+  return out.str();
+}
+
+/// FNV-1a step over one 64-bit value (the fault-plane ledger fold).
+inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  h ^= v;
+  h *= 1099511628211ull;
+}
+
+/// The epoch fingerprint plus what it omits about the fault plane: the
+/// real-store crash counters and a fold of the recovery ledger's ownership
+/// transfers, migration protocol events and real-store crash audits.
+inline std::string fault_plane_fingerprint(const cluster::RunResult& r) {
+  std::ostringstream out;
+  out << run_result_fingerprint(r);
+  const cluster::RobustnessStats& f = r.faults;
+  out << f.kv_crash_recoveries << ' ' << f.kv_replayed_records << ' '
+      << f.kv_acked_lost_records << '\n';
+  if (r.ledger == nullptr) return out.str();
+  const recovery::RecoveryLedger& led = *r.ledger;
+  std::uint64_t h = 1469598103934665603ull;
+  for (const recovery::OwnershipTransfer& t : led.transfers) {
+    fnv_mix(h, t.dir);
+    fnv_mix(h, t.from);
+    fnv_mix(h, t.to);
+    fnv_mix(h, t.epoch);
+    fnv_mix(h, static_cast<std::uint64_t>(t.at));
+  }
+  out << led.transfers.size() << ':' << h;
+  h = 1469598103934665603ull;
+  for (const recovery::MigrationEvent& m : led.migrations) {
+    fnv_mix(h, static_cast<std::uint64_t>(m.phase));
+    fnv_mix(h, m.subtree);
+    fnv_mix(h, m.from);
+    fnv_mix(h, m.to);
+    fnv_mix(h, m.epoch);
+    fnv_mix(h, static_cast<std::uint64_t>(m.at));
+  }
+  out << ' ' << led.migrations.size() << ':' << h;
+  h = 1469598103934665603ull;
+  for (const recovery::RecoveryLedger::KvCrashAudit& k : led.kv_crashes) {
+    fnv_mix(h, k.mds);
+    fnv_mix(h, static_cast<std::uint64_t>(k.at));
+    fnv_mix(h, k.wal_durable_seqno);
+    fnv_mix(h, k.recovered_seqno);
+    fnv_mix(h, k.replayed_records);
+    fnv_mix(h, k.acked_lost_records);
+    fnv_mix(h, k.torn_tail ? 1 : 0);
+  }
+  out << ' ' << led.kv_crashes.size() << ':' << h << '\n';
+  return out.str();
+}
+
+/// The live fingerprint plus what it omits about the fault plane: group
+/// commits, acked and unacked losses, the real-store crash counters and
+/// straggler time. `max_commit_lag` stays out: it is the one live counter
+/// whose value depends on the clock that stamps failover and restore
+/// records.
+inline std::string fault_plane_fingerprint(const fs::LiveReplayStats& s) {
+  std::ostringstream out;
+  out << live_stats_fingerprint(s);
+  const cluster::RobustnessStats& f = s.faults;
+  out << f.group_commits << ' ' << f.group_commit_records << ' '
+      << f.acked_lost_ops << ' ' << f.unacked_lost_ops << ' '
+      << f.kv_crash_recoveries << ' ' << f.kv_replayed_records << ' '
+      << f.kv_acked_lost_records << ' ' << f.restored_dirs << ' '
+      << f.time_degraded << '\n';
   return out.str();
 }
 
