@@ -22,8 +22,8 @@ int main() {
                                120'000ULL, 240'000ULL}) {
     cluster::ReplayOptions opt = bench::paper_options();
     opt.lookahead_ops = window;
-    const auto r =
-        bench::run_strategy(bench::Strategy::kMetaOpt, trace, opt, nullptr);
+    const auto r = bench::run_policy("meta-opt:min-ops=8,stop-us=500", trace,
+                                     opt, nullptr);
     std::printf("%10lu ops %14.0f %12lu\n",
                 static_cast<unsigned long>(window), r.steady_throughput_ops,
                 static_cast<unsigned long>(r.migrations));

@@ -6,6 +6,7 @@
 // avoiding forwarding altogether.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "origami/common/csv.hpp"
@@ -27,14 +28,12 @@ int main() {
     const auto models = bench::train_for(bench::standard_rw(/*seed=*/99), opt);
 
     std::printf("%6.0f us ", rpc_us);
-    for (bench::Strategy s :
-         {bench::Strategy::kSingle, bench::Strategy::kCHash,
-          bench::Strategy::kFHash, bench::Strategy::kOrigami}) {
-      const auto r = bench::run_strategy(s, trace, opt, &models);
+    for (const std::string spec : {"single", "c-hash", "f-hash", "origami"}) {
+      cluster::ReplayOptions run_opt = opt;
+      if (spec == "single") run_opt.mds_count = 1;
+      const auto r = bench::run_policy(spec, trace, run_opt, &models);
       std::printf(" %12.0f", r.steady_throughput_ops);
-      csv.field(rpc_us)
-          .field(bench::strategy_name(s))
-          .field(r.steady_throughput_ops);
+      csv.field(rpc_us).field(spec).field(r.steady_throughput_ops);
       csv.endrow();
     }
     std::printf("\n");

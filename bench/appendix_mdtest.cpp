@@ -6,6 +6,7 @@
 // balancer should not lose on it either.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "origami/common/csv.hpp"
@@ -32,8 +33,10 @@ int main() {
 
   std::printf("%-10s %14s %9s %9s\n", "strategy", "ops/s", "RPC/req",
               "IF:busy");
-  for (bench::Strategy strat : bench::kPaperStrategies) {
-    const auto r = bench::run_strategy(strat, trace, opt, &models);
+  for (const std::string spec : bench::kPaperPolicies) {
+    cluster::ReplayOptions run_opt = opt;
+    if (spec == "single") run_opt.mds_count = 1;
+    const auto r = bench::run_policy(spec, trace, run_opt, &models);
     std::printf("%-10s %14.0f %9.3f %9.2f\n", r.balancer_name.c_str(),
                 r.steady_throughput_ops, r.rpc_per_request, r.imf_busy);
     csv.field(r.balancer_name)

@@ -4,6 +4,7 @@
 // and benefit-driven migration should shine the most.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "origami/common/csv.hpp"
@@ -39,8 +40,10 @@ int main() {
               "IF:busy");
   double best_baseline = 0;
   double origami_tput = 0;
-  for (bench::Strategy strat : bench::kPaperStrategies) {
-    const auto r = bench::run_strategy(strat, mixed, opt, &models);
+  for (const std::string spec : bench::kPaperPolicies) {
+    cluster::ReplayOptions run_opt = opt;
+    if (spec == "single") run_opt.mds_count = 1;
+    const auto r = bench::run_policy(spec, mixed, run_opt, &models);
     std::printf("%-10s %14.0f %9.3f %9.2f\n", r.balancer_name.c_str(),
                 r.steady_throughput_ops, r.rpc_per_request, r.imf_busy);
     csv.field(r.balancer_name)
@@ -48,9 +51,9 @@ int main() {
         .field(r.rpc_per_request)
         .field(r.imf_busy);
     csv.endrow();
-    if (strat == bench::Strategy::kOrigami) {
+    if (spec == "origami") {
       origami_tput = r.steady_throughput_ops;
-    } else if (strat != bench::Strategy::kSingle) {
+    } else if (spec != "single") {
       best_baseline = std::max(best_baseline, r.steady_throughput_ops);
     }
   }

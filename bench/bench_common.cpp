@@ -9,24 +9,6 @@
 
 namespace origami::bench {
 
-const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::kSingle:
-      return "single";
-    case Strategy::kCHash:
-      return "c-hash";
-    case Strategy::kFHash:
-      return "f-hash";
-    case Strategy::kMlTree:
-      return "ml-tree";
-    case Strategy::kOrigami:
-      return "origami";
-    case Strategy::kMetaOpt:
-      return "meta-opt";
-  }
-  return "?";
-}
-
 wl::Trace standard_rw(std::uint64_t seed, std::uint64_t ops) {
   wl::TraceRwConfig cfg;
   cfg.seed = seed;
@@ -110,34 +92,6 @@ cluster::RunResult run_policy(const std::string& spec, const wl::Trace& trace,
   }
   const std::unique_ptr<cluster::Balancer> balancer = std::move(made).value();
   return cluster::replay_trace(trace, options, *balancer);
-}
-
-cluster::RunResult run_strategy(Strategy strategy, const wl::Trace& trace,
-                                const cluster::ReplayOptions& options,
-                                const core::TrainedModels* models,
-                                bool single_on_cluster) {
-  cluster::ReplayOptions opt = options;
-
-  // The benches' historical parameterisation, expressed as registry specs
-  // (ml-tree/meta-opt run with the low-op-count thresholds the small bench
-  // traces need). Construction goes through the registry so these runs are
-  // bit-identical with `--policy` runs of the same spec.
-  switch (strategy) {
-    case Strategy::kSingle:
-      if (!single_on_cluster) opt.mds_count = 1;
-      return run_policy("single", trace, opt, models);
-    case Strategy::kCHash:
-      return run_policy("c-hash", trace, opt, models);
-    case Strategy::kFHash:
-      return run_policy("f-hash", trace, opt, models);
-    case Strategy::kMlTree:
-      return run_policy("ml-tree:min-ops=8", trace, opt, models);
-    case Strategy::kOrigami:
-      return run_policy("origami", trace, opt, models);
-    case Strategy::kMetaOpt:
-      return run_policy("meta-opt:min-ops=8,stop-us=500", trace, opt, models);
-  }
-  return run_policy("single", trace, opt, models);
 }
 
 cluster::RunResult run_latency_probe(const wl::Trace& trace,

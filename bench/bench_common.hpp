@@ -15,19 +15,9 @@
 
 namespace origami::bench {
 
-/// The five §5.1 strategies.
-enum class Strategy { kSingle, kCHash, kFHash, kMlTree, kOrigami, kMetaOpt };
-
-const char* strategy_name(Strategy s);
-
-/// All strategies compared in the paper's evaluation (single runs on 1 MDS).
-inline constexpr Strategy kPaperStrategies[] = {
-    Strategy::kSingle, Strategy::kCHash, Strategy::kFHash, Strategy::kMlTree,
-    Strategy::kOrigami};
-
-/// The same sweep as registry policy specs (for `run_policy`): the legacy
-/// enum's historical parameterisation spelled the way `--policy` spells it.
-/// Callers special-case "single" onto 1 MDS themselves.
+/// The five §5.1 strategies as registry policy specs (for `run_policy`),
+/// with the low-op-count thresholds the small bench traces need. Callers
+/// run "single" on 1 MDS themselves.
 inline constexpr const char* kPaperPolicies[] = {
     "single", "c-hash", "f-hash", "ml-tree:min-ops=8", "origami"};
 
@@ -55,19 +45,9 @@ core::TrainedModels train_for(const wl::Trace& training_trace,
                               const cluster::ReplayOptions& options,
                               int gbdt_rounds = 200);
 
-/// Runs one strategy; consumes `models` for ml-tree/origami (may be null
-/// for the others). `mds_count` overrides options.mds_count except for
-/// kSingle which always runs on 1 MDS unless `single_on_cluster`.
-/// Internally resolves through the policy registry (the legacy enum maps
-/// onto registry specs), so bench runs and `--policy` runs are the same
-/// construction path.
-cluster::RunResult run_strategy(Strategy strategy, const wl::Trace& trace,
-                                const cluster::ReplayOptions& options,
-                                const core::TrainedModels* models,
-                                bool single_on_cluster = false);
-
 /// Registry-backed runner: resolves a `name[:k=v,...]` policy spec against
-/// `policy::Registry::builtin()` and replays `trace` with it. Exits 2 on
+/// `policy::Registry::builtin()` and replays `trace` with it, consuming
+/// `models` for ml-tree/origami (may be null for the others). Exits 2 on
 /// an invalid spec (same strictness as the CLIs).
 cluster::RunResult run_policy(const std::string& spec, const wl::Trace& trace,
                               const cluster::ReplayOptions& options,

@@ -25,9 +25,7 @@ namespace {
 
 constexpr double kCrashRates[] = {0.0, 0.02, 0.05, 0.10};
 
-constexpr bench::Strategy kStrategies[] = {
-    bench::Strategy::kCHash, bench::Strategy::kFHash,
-    bench::Strategy::kOrigami};
+constexpr const char* kPolicies[] = {"c-hash", "f-hash", "origami"};
 
 cluster::ReplayOptions options_for(const cluster::ReplayOptions& base,
                                    double crash_prob) {
@@ -65,11 +63,11 @@ int main(int argc, char** argv) {
               "invariants_ok"});
 
   int violations = 0;
-  for (bench::Strategy s : kStrategies) {
+  for (const char* spec : kPolicies) {
     double clean_p99 = 0.0;
     for (double rate : kCrashRates) {
       const auto r =
-          bench::run_strategy(s, trace, options_for(base, rate), &models);
+          bench::run_policy(spec, trace, options_for(base, rate), &models);
       if (rate == 0.0) clean_p99 = r.p99_latency_us;
       const double degradation =
           clean_p99 > 0 ? r.p99_latency_us / clean_p99 : 0.0;

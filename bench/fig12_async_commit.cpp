@@ -124,8 +124,7 @@ int main(int argc, char** argv) {
     for (const CommitConfig& cfg : kConfigs) {
       const auto opt = options_for(base, cfg, rate, kv_wal_dir);
       const bool async = opt.recovery.commit_mode == recovery::CommitMode::kAsync;
-      auto r = bench::run_strategy(bench::Strategy::kCHash, trace, opt,
-                                   /*models=*/nullptr);
+      auto r = bench::run_policy("c-hash", trace, opt, /*models=*/nullptr);
       const auto& f = r.faults;
 
       bool ok = true;

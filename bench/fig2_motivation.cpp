@@ -23,11 +23,11 @@ int main() {
   opt.epoch_length = sim::millis(500);
 
   // (a) single MDS.
-  const auto r1 =
-      bench::run_strategy(bench::Strategy::kSingle, trace, opt, nullptr);
+  cluster::ReplayOptions single_opt = opt;
+  single_opt.mds_count = 1;
+  const auto r1 = bench::run_policy("single", trace, single_opt, nullptr);
   // (b) five MDSs, even per-directory partitioning (CephFS-pinning style).
-  const auto r5 =
-      bench::run_strategy(bench::Strategy::kFHash, trace, opt, nullptr);
+  const auto r5 = bench::run_policy("f-hash", trace, opt, nullptr);
 
   const double single_tput = r1.steady_throughput_ops;
   common::CsvWriter csv(bench::csv_path("fig2", "throughput"));

@@ -7,6 +7,7 @@
 // (+24.2%) < ml-tree (+29.3%) < c-hash (+43.9%) < f-hash (+89.1%).
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "origami/common/csv.hpp"
@@ -41,14 +42,16 @@ int main(int argc, char** argv) {
   std::printf("%-10s %14s %9s %14s %10s %9s\n", "strategy", "agg ops/s",
               "vs 1MDS", "1-client lat", "vs 1MDS", "RPC/req");
 
-  for (bench::Strategy s : bench::kPaperStrategies) {
+  for (const std::string spec : bench::kPaperPolicies) {
+    cluster::ReplayOptions run_opt = opt;
+    if (spec == "single") run_opt.mds_count = 1;
     // (a) saturated throughput.
-    const auto hot = bench::run_strategy(s, trace, opt, &models);
+    const auto hot = bench::run_policy(spec, trace, run_opt, &models);
     // (b) single-client latency over the converged partition (the paper
     // re-runs with one thread after rebalancing has settled).
     const auto cold = bench::run_latency_probe(trace, opt, hot);
 
-    if (s == bench::Strategy::kSingle) {
+    if (spec == "single") {
       single_tput = hot.steady_throughput_ops;
       single_lat = cold.mean_latency_us;
     }

@@ -8,6 +8,7 @@
 // MDSs stay busy even though its inode placement is uneven.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "origami/common/csv.hpp"
@@ -36,10 +37,9 @@ int main(int argc, char** argv) {
               "Inodes", "BusyTime");
   double fhash_busy = 0.0;
   double origami_busy = 0.0;
-  for (bench::Strategy s :
-       {bench::Strategy::kCHash, bench::Strategy::kFHash,
-        bench::Strategy::kMlTree, bench::Strategy::kOrigami}) {
-    const auto r = bench::run_strategy(s, trace, opt, &models);
+  for (const std::string spec :
+       {"c-hash", "f-hash", "ml-tree:min-ops=8", "origami"}) {
+    const auto r = bench::run_policy(spec, trace, opt, &models);
     std::printf("%-10s %8.2f %8.2f %8.2f %10.2f\n", r.balancer_name.c_str(),
                 r.imf_qps, r.imf_rpc, r.imf_inodes, r.imf_busy);
     csv.field(r.balancer_name)
@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
         .field(r.imf_inodes)
         .field(r.imf_busy);
     csv.endrow();
-    if (s == bench::Strategy::kFHash) fhash_busy = r.imf_busy;
-    if (s == bench::Strategy::kOrigami) origami_busy = r.imf_busy;
+    if (spec == "f-hash") fhash_busy = r.imf_busy;
+    if (spec == "origami") origami_busy = r.imf_busy;
   }
 
   if (!opt.policy.empty()) {

@@ -20,18 +20,16 @@ int main() {
   common::CsvWriter csv(bench::csv_path("latency_vs_load", "curves"));
   csv.header({"strategy", "offered_kops", "p50_us", "p99_us", "completed"});
 
-  constexpr bench::Strategy kStrategies[] = {
-      bench::Strategy::kCHash, bench::Strategy::kFHash,
-      bench::Strategy::kOrigami};
+  constexpr const char* kPolicies[] = {"c-hash", "f-hash", "origami"};
   constexpr double kRatesK[] = {10, 20, 30, 40, 50, 60};
 
   std::printf("%-10s", "strategy");
   for (double r : kRatesK) std::printf("   @%3.0fk p99", r);
   std::printf("   (us)\n");
 
-  for (bench::Strategy s : kStrategies) {
+  for (const char* spec : kPolicies) {
     // Converge the partition under closed-loop saturation first.
-    const auto hot = bench::run_strategy(s, trace, base, &models);
+    const auto hot = bench::run_policy(spec, trace, base, &models);
     std::printf("%-10s", hot.balancer_name.c_str());
 
     for (double rate_k : kRatesK) {

@@ -8,6 +8,7 @@
 // because most of its migrations land inside the cached near-root region.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "origami/common/csv.hpp"
@@ -29,20 +30,20 @@ int main() {
   const cluster::ReplayOptions base = bench::paper_options();
   const auto models = bench::train_for(bench::standard_rw(/*seed=*/99), base);
 
-  constexpr bench::Strategy kStrategies[] = {
-      bench::Strategy::kCHash, bench::Strategy::kFHash,
-      bench::Strategy::kMlTree, bench::Strategy::kOrigami};
+  constexpr const char* kPolicies[] = {"c-hash", "f-hash", "ml-tree:min-ops=8",
+                                       "origami"};
   constexpr std::uint64_t kSeeds[] = {1, 21, 41};
 
   Cell cells[4][2];  // [strategy][cache off/on]
+  std::string names[4];
   for (std::size_t si = 0; si < 4; ++si) {
     for (int cache = 0; cache <= 1; ++cache) {
       for (std::uint64_t seed : kSeeds) {
         const wl::Trace trace = bench::standard_rw(seed, 200'000);
         cluster::ReplayOptions opt = base;
         opt.cache_enabled = cache == 1;
-        const auto r =
-            bench::run_strategy(kStrategies[si], trace, opt, &models);
+        const auto r = bench::run_policy(kPolicies[si], trace, opt, &models);
+        names[si] = r.balancer_name;
         cells[si][cache].throughput.add(r.steady_throughput_ops / 1000.0);
         cells[si][cache].rpc.add(r.rpc_per_request);
       }
@@ -63,11 +64,11 @@ int main() {
     const Cell& on = cells[si][1];
     std::printf("%-10s | %5.1f±%4.1f  %5.1f±%4.1f   | %5.2f±%4.2f  "
                 "%5.2f±%4.2f\n",
-                bench::strategy_name(kStrategies[si]), off.throughput.mean(),
+                names[si].c_str(), off.throughput.mean(),
                 off.throughput.stddev(), on.throughput.mean(),
                 on.throughput.stddev(), off.rpc.mean(), off.rpc.stddev(),
                 on.rpc.mean(), on.rpc.stddev());
-    csv.field(bench::strategy_name(kStrategies[si]))
+    csv.field(names[si])
         .field(off.throughput.mean())
         .field(off.throughput.stddev())
         .field(on.throughput.mean())

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "origami/cluster/balancer.hpp"
+#include "origami/cluster/fault_plane.hpp"
 #include "origami/cluster/metrics.hpp"
 #include "origami/cluster/options.hpp"
 #include "origami/cluster/plan.hpp"
@@ -14,7 +15,6 @@
 #include "origami/mds/inode_store.hpp"
 #include "origami/mds/mds_server.hpp"
 #include "origami/net/network.hpp"
-#include "origami/recovery/journal.hpp"
 #include "origami/sim/event_queue.hpp"
 #include "origami/wl/arrival.hpp"
 
@@ -35,7 +35,7 @@ struct InFlight {
 };
 
 /// The state every execution-engine layer shares: the simulated cluster
-/// (servers, network, partition, caches, journals), the event queue, the
+/// (servers, network, partition, caches, fault plane), the event queue, the
 /// in-flight pool and the accumulating result. Subsystems (`RequestPlanner`,
 /// `ExecEngine`, `FailoverEngine`, `MigrationEngine`, the stats helpers)
 /// hold a reference to one core and never own state behind each other's
@@ -61,14 +61,14 @@ struct EngineCore {
   /// shared-stream draw order is part of the byte-identity contract).
   std::unique_ptr<wl::ArrivalPolicy> arrival;
   const bool faults_on;
-  /// Group-committed journaling (CommitMode::kAsync with faults armed);
-  /// false keeps every sync-mode run bit-identical to earlier trees.
-  const bool async_commit;
+  /// The crash protocol shared with the live engine: fault injector, one
+  /// journal per MDS (only when `faults_on`) and the failover log; sync
+  /// mode (`async_commit()` false) stays bit-identical to earlier trees.
+  FaultPlane fault_plane;
   std::vector<mds::MdsServer> servers;
   std::vector<std::unique_ptr<mds::InodeStore>> stores;  // when kv_backing
 
   /// Durable-recovery state (populated only when `faults_on`).
-  std::vector<recovery::MetadataJournal> journals;  // one per MDS
   /// Per-directory time until which the fragment is unavailable while its
   /// absorber replays the crashed owner's journal; arrivals park until then.
   std::vector<sim::SimTime> recovering_until;

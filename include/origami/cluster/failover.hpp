@@ -1,63 +1,31 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "origami/cluster/exec.hpp"
 #include "origami/fault/fault.hpp"
 
 namespace origami::cluster {
 
-/// Known down windows per entity (MDS in the epoch simulator, shard in the
-/// live service), recorded as faults are scheduled/sampled. Backend-agnostic:
-/// "time" is whatever monotone clock the caller uses (virtual ns in the DES,
-/// operation index in live mode).
-class FaultTimeline {
- public:
-  void resize(std::size_t entities) { windows_.resize(entities); }
-  void note(std::size_t entity, sim::SimTime from, sim::SimTime until) {
-    windows_[entity].push_back({from, until});
-  }
-  /// True when `entity` is down anywhere inside [t0, t1).
-  [[nodiscard]] bool down_during(std::size_t entity, sim::SimTime t0,
-                                 sim::SimTime t1) const {
-    if (entity >= windows_.size()) return false;
-    for (const Window& w : windows_[entity]) {
-      if (w.from < t1 && w.until > t0) return true;
-    }
-    return false;
-  }
-
- private:
-  struct Window {
-    sim::SimTime from;
-    sim::SimTime until;
-  };
-  std::vector<std::vector<Window>> windows_;
-};
-
-/// Fault delivery and crash handling for the execution engine: samples each
-/// epoch's fault windows, decides message fate on every send, runs the
-/// timeout/backoff retry loop, and on a crash fails the dead MDS's fragments
-/// over to survivors (journal log-replay priced in) and hands them back on
-/// recovery. Never consulted when the fault plan is disabled.
+/// Fault delivery and crash handling for the execution engine: schedules
+/// each epoch's fault windows from the shared `FaultPlane`, decides message
+/// fate on every send, runs the timeout/backoff retry loop, and on a crash
+/// drives the plane's crash, failover and restore steps, pricing the
+/// absorbers' journal-replay windows and narrating each step to the
+/// observer bus. Never consulted when the fault plan is disabled.
 class FailoverEngine {
  public:
   explicit FailoverEngine(EngineCore& core)
-      : core_(core),
-        injector_(core.opt.faults, core.opt.mds_count),
-        retry_rng_(core.opt.faults.seed ^ 0x7e717e71ULL) {
-    if (core_.faults_on) timeline_.resize(core_.opt.mds_count);
-  }
+      : core_(core), retry_rng_(core.opt.faults.seed ^ 0x7e717e71ULL) {}
   void bind(ExecEngine& exec) { exec_ = &exec; }
 
   /// Samples + schedules every fault window opening in epoch `epoch`.
   void schedule_epoch_faults(std::uint32_t epoch);
+  /// Crashes `w.mds`, fails its fragments over to the survivors and parks
+  /// them until each absorber's journal replay completes.
   void on_crash(const fault::FaultWindow& w);
+  /// Hands the failed-over fragments back once `mds` is up again.
   void on_recover(cost::MdsId mds);
-  /// Moves every directory fragment owned by `mds` to the least-loaded
-  /// surviving MDS (recorded for restoration on recovery).
-  void failover_from(cost::MdsId mds);
   /// Re-resolves a visit's target against the current partition map.
   void retarget(Visit& v) const;
   /// Samples message fate + destination health; counts and reports whether
@@ -71,22 +39,11 @@ class FailoverEngine {
   /// Retry path: re-resolve, re-send, re-check delivery.
   void resend(std::size_t slot, net::EndpointId from);
   void fail_request(std::size_t slot);
-  [[nodiscard]] bool mds_down_during(cost::MdsId mds, sim::SimTime t0,
-                                     sim::SimTime t1) const;
 
  private:
   EngineCore& core_;
   ExecEngine* exec_ = nullptr;
-  fault::FaultInjector injector_;
   common::Xoshiro256 retry_rng_;
-  FaultTimeline timeline_;
-  /// Fragments reassigned by failover, to hand back on recovery.
-  struct FailoverEntry {
-    fsns::NodeId dir;
-    cost::MdsId original;
-    cost::MdsId assigned;
-  };
-  std::vector<FailoverEntry> failover_log_;
 };
 
 }  // namespace origami::cluster

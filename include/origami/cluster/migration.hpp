@@ -8,13 +8,11 @@
 
 namespace origami::cluster {
 
-class FailoverEngine;
-
-/// Bookkeeping for two-phase fragment migrations, shared by the epoch
-/// simulator and the live service: the set of keys with a PREPARE logged and
-/// the outcome still undecided, plus the paired journal appends + ledger
-/// trail each protocol phase produces. Keys are namespace identifiers
-/// (NodeId in the simulator, inode number in live mode).
+/// Bookkeeping for two-phase fragment migrations: the set of keys with a
+/// PREPARE logged and the outcome still undecided (epoch simulator), plus
+/// the paired journal appends + ledger trail each protocol phase produces,
+/// shared with the live service. Keys are namespace identifiers (NodeId in
+/// the simulator, inode number in live mode).
 class TwoPhaseLog {
  public:
   struct Charges {
@@ -27,7 +25,6 @@ class TwoPhaseLog {
   }
   void add(std::uint64_t key) { pending_.insert(key); }
   void remove(std::uint64_t key) { pending_.erase(key); }
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
 
   /// Logs one protocol phase: appends the migration record to each live
   /// endpoint's journal (pass nullptr for a crashed endpoint) and pushes the
@@ -44,14 +41,14 @@ class TwoPhaseLog {
   std::unordered_set<std::uint64_t> pending_;
 };
 
-/// The two-phase PREPARE/COMMIT/ABORT migration driver: applies balancer
-/// decisions at epoch boundaries, prices the copy work, refuses moves that
-/// touch a down MDS, and aborts (or, in the legacy single-phase path, rolls
-/// back) migrations whose endpoint dies inside the copy window.
+/// The migration driver: applies balancer decisions at epoch boundaries
+/// and prices the copy work. Clean runs move ownership at once; with faults
+/// armed every move runs as two-phase PREPARE/COMMIT/ABORT, refusing moves
+/// that touch a down MDS and aborting those whose endpoint dies inside the
+/// copy window.
 class MigrationEngine {
  public:
   explicit MigrationEngine(EngineCore& core) : core_(core) {}
-  void bind(FailoverEngine& failover) { failover_ = &failover; }
 
   /// Applies one balancer decision, crediting `em` for committed moves.
   void apply(const MigrationDecision& d, EpochMetrics& em);
@@ -65,8 +62,12 @@ class MigrationEngine {
   void commit_migration(MigrationDecision d);
 
  private:
+  /// Moves the subtree's records between the real stores and credits the
+  /// move to the run and to `em`.
+  void finish_move(const MigrationDecision& d, std::uint64_t moved,
+                   EpochMetrics& em);
+
   EngineCore& core_;
-  FailoverEngine* failover_ = nullptr;
   TwoPhaseLog two_phase_;
   std::uint64_t commit_seq_ = 0;  // global commit LSN (monotone epochs)
 };

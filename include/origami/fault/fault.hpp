@@ -97,13 +97,6 @@ class FaultInjector {
   [[nodiscard]] std::vector<FaultWindow> windows_for_epoch(
       std::uint32_t epoch, sim::SimTime start, sim::SimTime length) const;
 
-  /// True when `mds` has a *crash* window overlapping `[t0, t1)` among the
-  /// windows already materialised via `windows_for_epoch` (the replayer
-  /// records them); this helper only checks the scheduled list — the
-  /// replayer layers the sampled ones on top.
-  [[nodiscard]] bool scheduled_down_overlaps(std::uint32_t mds, sim::SimTime t0,
-                                             sim::SimTime t1) const;
-
  private:
   FaultPlan plan_;
   std::uint32_t mds_count_;

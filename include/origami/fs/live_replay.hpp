@@ -19,8 +19,7 @@ namespace origami::fs {
 /// Handle the live engine passes to the per-epoch hook, so an external
 /// balancer (core::LiveOrigamiBalancer) can consult shard health and report
 /// its two-phase transitions back into the shared journaling layer. The
-/// engine owns the journals and the pending-PREPARE set; the balancer only
-/// narrates what it is doing.
+/// engine owns the journals; the balancer only narrates what it is doing.
 class LiveFaultContext {
  public:
   virtual ~LiveFaultContext() = default;
@@ -54,8 +53,8 @@ struct LiveReplayOptions {
   /// Balancing hook; returns the number of migrations it performed.
   std::function<std::uint64_t(OrigamiFs&, LiveFaultContext&)> on_epoch;
 
-  /// Fault sources, sampled per `fault_epoch` interval of virtual time —
-  /// the same deterministic (seed, epoch, shard) streams as the simulator.
+  /// Fault sources, sampled per 500 ms interval of virtual time — the same
+  /// deterministic (seed, epoch, shard) streams as the simulator.
   fault::FaultPlan faults;
   fault::RetryPolicy retry;
   /// Journaling model, including the commit mode. With
@@ -88,15 +87,6 @@ struct LiveReplayOptions {
   /// seeded stream, so output stays byte-identical at any
   /// `shard_threads`.
   std::string arrival;
-  /// Operations between fault/commit sync points. With faults armed the
-  /// issuer drains the shard workers every `sync_ops` operations, then
-  /// fires due crashes/recoveries and the commit-window sweep against the
-  /// quiesced journals/stores. Purely an internal cadence — results are
-  /// deterministic for any fixed value.
-  std::uint64_t sync_ops = 512;
-  /// Length of one fault-sampling interval on the virtual clock (the live
-  /// analogue of the simulator's epoch length for `windows_for_epoch`).
-  sim::SimTime fault_epoch = sim::millis(500);
   /// Service-time parameters for the virtual clock.
   cost::CostParams cost;
 };

@@ -37,9 +37,6 @@ struct RecoveryParams {
   sim::SimTime t_checkpoint = sim::micros(300);
   /// Records between checkpoints; bounds replay work after a crash.
   std::uint32_t checkpoint_every = 4096;
-  /// Run subtree migrations as PREPARE/COMMIT with a commit point at the
-  /// end of the copy window (false restores the PR-1 move-then-rollback).
-  bool two_phase_migration = true;
   /// Reject and re-route requests that arrive at an MDS which no longer
   /// owns the fragment (stale ownership epoch).
   bool fencing = true;

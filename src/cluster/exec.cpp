@@ -28,8 +28,7 @@ EngineCore::EngineCore(const wl::Trace& trace_in, const ReplayOptions& options,
                                   /*poisson_legacy=*/true,
                                   {&trace_in, options.clients})),
       faults_on(options.faults.enabled()),
-      async_commit(faults_on && options.recovery.commit_mode ==
-                                    recovery::CommitMode::kAsync),
+      fault_plane(options.faults, options.recovery, options.mds_count),
       dir_stats(trace_in.tree.size()) {
   // Subscription order is fixed — the policy first (when it observes),
   // then the caller's observers — so hook sequences are reproducible.
@@ -44,10 +43,6 @@ EngineCore::EngineCore(const wl::Trace& trace_in, const ReplayOptions& options,
   }
   balancer.prepare(trace.tree, partition);
   if (faults_on) {
-    journals.reserve(opt.mds_count);
-    for (std::uint32_t i = 0; i < opt.mds_count; ++i) {
-      journals.emplace_back(opt.recovery);
-    }
     recovering_until.assign(trace.tree.size(), 0);
     if (opt.recovery.capture_ledger) {
       ledger = std::make_shared<recovery::RecoveryLedger>();
@@ -66,7 +61,7 @@ EngineCore::EngineCore(const wl::Trace& trace_in, const ReplayOptions& options,
     stores.reserve(opt.mds_count);
     for (std::uint32_t i = 0; i < opt.mds_count; ++i) {
       kv::DbOptions db_opt;
-      if (async_commit) {
+      if (fault_plane.async_commit()) {
         // The real store rides the same group-commit contract as the
         // modeled journal: acked on memtable apply, durable at the batch
         // flush. The DES timer drives the window trigger (flush_journal
@@ -86,10 +81,13 @@ EngineCore::EngineCore(const wl::Trace& trace_in, const ReplayOptions& options,
     for (NodeId id = 0; id < n; ++id) {
       stores[partition.node_owner(id)]->put(trace.tree, id);
     }
-    if (async_commit) {
+    if (fault_plane.async_commit()) {
       // The seeded namespace is the run's initial condition, not workload:
       // make it durable so crash loss accounting starts from zero.
-      for (auto& store : stores) (void)store->commit();
+      for (auto& store : stores) {
+        (void)store->commit();
+        fault_plane.attach_group_commit_store(store->db());
+      }
     }
   }
 }
@@ -230,10 +228,9 @@ void ExecEngine::hop(std::size_t slot) {
     // Sync mode: the fsync (and any checkpoint) cost rides on the service
     // time. Async mode: the record lands in the commit buffer for free and
     // a group commit pays the fsync later, off the critical path.
-    service +=
-        core_.journals[v.mds].append_op(fl.plan.op_id, v.node,
-                                        core_.queue.now());
-    if (core_.async_commit) schedule_group_commit(v.mds);
+    service += core_.fault_plane.journal(v.mds).append_op(
+        fl.plan.op_id, v.node, core_.queue.now());
+    if (core_.fault_plane.async_commit()) schedule_group_commit(v.mds);
   }
   const SimTime done = server.serve(core_.queue.now(), service);
   if (core_.faults_on && core_.opt.recovery.fencing &&
@@ -323,7 +320,7 @@ void ExecEngine::advance(std::size_t slot, SimTime done) {
 }
 
 void ExecEngine::schedule_group_commit(std::uint32_t mds) {
-  recovery::MetadataJournal& journal = core_.journals[mds];
+  recovery::MetadataJournal& journal = core_.fault_plane.journal(mds);
   const std::size_t pending = journal.pending_records();
   if (pending >= core_.opt.recovery.commit_batch) {
     flush_journal(mds);
@@ -336,20 +333,21 @@ void ExecEngine::schedule_group_commit(std::uint32_t mds) {
     const std::uint64_t gen = journal.flush_generation();
     core_.queue.schedule_after(
         core_.opt.recovery.commit_window, [this, mds, gen] {
-          if (core_.journals[mds].flush_generation() != gen) return;
-          flush_journal(mds);
+          if (core_.fault_plane.journal(mds).flush_generation() == gen) {
+            flush_journal(mds);
+          }
         });
   }
 }
 
 void ExecEngine::flush_journal(std::uint32_t mds) {
-  const SimTime cost = core_.journals[mds].flush(core_.queue.now());
+  const SimTime cost = core_.fault_plane.journal(mds).flush(core_.queue.now());
   if (cost > 0) core_.servers[mds].serve(core_.queue.now(), cost);
   // Lockstep with the real store: every modeled group commit (batch-full
   // or window timer) also drains this MDS's KV commit buffer, so the
   // measured fsync distribution reflects the same flush cadence the model
   // prices. The store's own batch trigger covers writes between flushes.
-  if (core_.opt.kv_backing && core_.async_commit) {
+  if (core_.opt.kv_backing && core_.fault_plane.async_commit()) {
     (void)core_.stores[mds]->commit();
   }
 }
@@ -370,13 +368,14 @@ void ExecEngine::finish(std::size_t slot) {
   if (core_.ledger && fl.plan.op_id != 0) {
     core_.ledger->acked_mutations.push_back(fl.plan.op_id);
   }
-  if (core_.async_commit && fl.plan.op_id != 0) {
+  if (core_.fault_plane.async_commit() && fl.plan.op_id != 0) {
     // Stamp acked_at on every journal that framed this op (the durability
     // window needs the client-visible completion time to classify a later
     // crash as acked-but-lost vs unacked-and-lost).
     for (const Visit& vv : fl.plan.visits) {
       if (vv.role == VisitRole::kExec || vv.role == VisitRole::kCoord) {
-        core_.journals[vv.mds].note_acked(fl.plan.op_id, core_.queue.now());
+        core_.fault_plane.journal(vv.mds).note_acked(fl.plan.op_id,
+                                                     core_.queue.now());
       }
     }
   }

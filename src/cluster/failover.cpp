@@ -1,6 +1,8 @@
 #include "origami/cluster/failover.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 namespace origami::cluster {
 
@@ -21,6 +23,43 @@ void notify_fault(EngineCore& core, engine::FaultEvent::Kind kind, MdsId mds,
   ev.dirs = dirs;
   core.observers.fault(ev);
 }
+
+/// The epoch engine's namespace as the fault plane sees it: MDSs over the
+/// partition map, fragments are directory nodes walked in tree order and
+/// weighed in inodes, and only a move that carried inodes counts.
+class EpochNamespace final : public FaultNamespace {
+ public:
+  explicit EpochNamespace(EngineCore& core) : core_(core) {}
+
+  [[nodiscard]] bool down(std::uint32_t mds) const override {
+    return core_.servers[mds].is_down(core_.queue.now());
+  }
+  [[nodiscard]] std::vector<std::uint64_t> loads() const override {
+    return core_.partition.inode_counts();
+  }
+  [[nodiscard]] std::vector<std::uint64_t> fragments_of(
+      std::uint32_t mds) const override {
+    std::vector<std::uint64_t> out;
+    for (NodeId d : core_.trace.tree.directories()) {
+      if (core_.partition.dir_owner(d) == mds) out.push_back(d);
+    }
+    return out;
+  }
+  [[nodiscard]] std::uint32_t ownership_epoch(
+      std::uint64_t dir) const override {
+    return core_.partition.ownership_epoch(static_cast<NodeId>(dir));
+  }
+  std::optional<std::uint64_t> move(std::uint64_t dir, std::uint32_t from,
+                                    std::uint32_t to) override {
+    const std::uint64_t n =
+        core_.partition.migrate_single(static_cast<NodeId>(dir), from, to);
+    if (n == 0) return std::nullopt;
+    return n;
+  }
+
+ private:
+  EngineCore& core_;
+};
 
 }  // namespace
 
@@ -86,12 +125,11 @@ void FailoverEngine::fail_request(std::size_t slot) {
 
 void FailoverEngine::schedule_epoch_faults(std::uint32_t epoch) {
   const SimTime start = static_cast<SimTime>(epoch) * core_.opt.epoch_length;
-  const auto windows =
-      injector_.windows_for_epoch(epoch, start, core_.opt.epoch_length);
+  const auto windows = core_.fault_plane.injector().windows_for_epoch(
+      epoch, start, core_.opt.epoch_length);
   for (const fault::FaultWindow& w : windows) {
     if (w.mds >= core_.servers.size()) continue;
     if (w.kind == fault::FaultKind::kCrash) {
-      timeline_.note(w.mds, w.from, w.until);
       core_.queue.schedule_at(w.from, [this, w] { on_crash(w); });
     } else {
       core_.queue.schedule_at(w.from, [this, w] {
@@ -107,145 +145,49 @@ void FailoverEngine::on_crash(const fault::FaultWindow& w) {
   // the last client finished; those must not touch servers or the map, or
   // `final_dir_owner` would reflect post-workload churn.
   if (core_.active_clients == 0) return;
-  ++core_.result.faults.crashes;
-  notify_fault(core_, engine::FaultEvent::Kind::kCrash, w.mds, 0);
-  core_.servers[w.mds].crash(core_.queue.now(), w.until);
-  if (core_.async_commit) {
-    // The commit buffer dies with the process: records waiting for their
-    // group commit vanish, including ones whose op already acked. The
-    // durability window classifies them; finalize_run and the checker
-    // (I6–I8) account for every one — nothing is dropped silently.
-    (void)core_.journals[w.mds].crash_drop_pending(core_.queue.now());
-    if (core_.opt.kv_backing) {
-      // The real store crashes with the process too: its commit buffer is
-      // swept, its WAL tail torn, and recovery replays the surviving
-      // prefix into a fresh memtable. The outcome is recorded for the
-      // checker to hold I7/I8 against the measured store.
-      auto& store = *core_.stores[w.mds];
-      const kv::Db::LossReport loss =
-          store.simulate_crash(/*tear_wal_tail=*/true);
-      kv::WalReplayStats replay;
-      (void)store.recover(&replay);
-      RobustnessStats& faults = core_.result.faults;
-      ++faults.kv_crash_recoveries;
-      faults.kv_replayed_records += replay.records;
-      faults.kv_acked_lost_records += loss.acked_lost.size();
-      if (core_.ledger) {
-        core_.ledger->kv_crashes.push_back(
-            {w.mds, core_.queue.now(), loss.wal_durable_seqno,
-             replay.max_seqno, replay.records,
-             static_cast<std::uint64_t>(loss.acked_lost.size()),
-             replay.torn_tail});
-      }
-    }
-  }
-  // The append in flight at the crash instant dies half-written; recovery
-  // replay truncates it (it was never acknowledged, so nothing is lost).
-  core_.journals[w.mds].simulate_torn_write();
-  failover_from(w.mds);
-  core_.queue.schedule_at(w.until, [this, m = w.mds] { on_recover(m); });
-}
-
-void FailoverEngine::failover_from(MdsId down) {
-  // Reassign every fragment owned by the crashed MDS to the least-loaded
-  // surviving MDS (by running inode tally), bumping directory versions so
-  // client caches go stale, and charge the survivors the hand-off work.
-  auto counts = core_.partition.inode_counts();
-  std::vector<std::uint64_t> absorbed(core_.servers.size(), 0);
-  std::vector<SimTime> journal_charge(core_.servers.size(), 0);
   const SimTime now = core_.queue.now();
-  std::uint64_t moved_dirs = 0;
-  const std::size_t log_start = failover_log_.size();
-  for (NodeId d : core_.trace.tree.directories()) {
-    if (core_.partition.dir_owner(d) != down) continue;
-    MdsId best = cost::kInvalidMds;
-    for (MdsId s = 0; s < static_cast<MdsId>(core_.servers.size()); ++s) {
-      if (s == down || core_.servers[s].is_down(now)) continue;
-      if (best == cost::kInvalidMds || counts[s] < counts[best]) best = s;
-    }
-    if (best == cost::kInvalidMds) break;  // no survivors: nowhere to go
-    const std::uint64_t n = core_.partition.migrate_single(d, down, best);
-    if (n == 0) continue;
-    counts[best] += n;
-    absorbed[best] += n;
-    failover_log_.push_back({d, down, best});
-    ++moved_dirs;
-    journal_charge[best] += core_.journals[best].append_migration(
-        recovery::JournalRecordKind::kFailover, d, down, best,
-        core_.partition.ownership_epoch(d), now);
-  }
-  // The crashed MDS's journal is scanned exactly once per crash, even when
-  // it owned nothing at the crash instant (a re-crash while its fragments
-  // are still failed over): the restart must truncate the torn tail, or
-  // every record appended after recovery hides behind the garbage.
-  const auto outcome = core_.journals[down].recover_replay();
-  ++core_.result.faults.journal_replays;
-  core_.result.faults.journal_replayed_records += outcome.replayed_records;
-  if (moved_dirs == 0) return;
-  ++core_.result.faults.failovers;
-  core_.result.faults.failover_dirs += moved_dirs;
-  notify_fault(core_, engine::FaultEvent::Kind::kFailover, down, moved_dirs);
+  notify_fault(core_, engine::FaultEvent::Kind::kCrash, w.mds, 0);
+  core_.servers[w.mds].crash(now, w.until);
+  core_.fault_plane.crash(w.mds, now, core_.result.faults, core_.ledger.get());
+  EpochNamespace ns(core_);
+  const FaultPlane::Failover out =
+      core_.fault_plane.failover(w.mds, now, ns, core_.result.faults);
+  core_.queue.schedule_at(w.until, [this, m = w.mds] { on_recover(m); });
+  if (out.moved.empty()) return;
+  notify_fault(core_, engine::FaultEvent::Kind::kFailover, w.mds,
+               out.moved.size());
 
   // Each survivor replays the crashed MDS's journal for the fragments it
-  // absorbed: scan once (truncating any torn tail), then keep the absorbed
-  // fragments unavailable until the absorber's replay work completes.
-  ++core_.result.faults.recovery_windows;
+  // absorbed, then keeps the absorbed fragments unavailable until the
+  // absorber's replay work completes.
   std::vector<SimTime> ready(core_.servers.size(), now);
-  for (std::size_t s = 0; s < absorbed.size(); ++s) {
-    if (absorbed[s] == 0) continue;
+  for (std::size_t s = 0; s < out.absorbed.size(); ++s) {
+    if (out.absorbed[s] == 0) continue;
     ready[s] = core_.servers[s].serve(
         now, core_.opt.cost_params.t_migrate_per_inode *
-                     static_cast<SimTime>(absorbed[s]) +
-                 outcome.replay_time + journal_charge[s]);
+                     static_cast<SimTime>(out.absorbed[s]) +
+                 out.replay.replay_time + out.journal_charge[s]);
     core_.result.faults.recovery_window_time += ready[s] - now;
   }
-  for (std::size_t i = log_start; i < failover_log_.size(); ++i) {
-    const FailoverEntry& e = failover_log_[i];
-    core_.recovering_until[e.dir] =
-        std::max(core_.recovering_until[e.dir], ready[e.assigned]);
+  for (const FaultPlane::FailoverEntry& e : out.moved) {
+    SimTime& until = core_.recovering_until[e.fragment];
+    until = std::max(until, ready[e.assigned]);
   }
 }
 
 void FailoverEngine::on_recover(MdsId mds) {
   if (core_.active_clients == 0) return;  // workload drained; keep the map
   if (core_.servers[mds].is_down(core_.queue.now())) return;  // extended
-  // Hand back the fragments lost at failover, unless the balancer has
-  // since moved them elsewhere.
-  std::uint64_t restored_inodes = 0;
-  std::uint64_t restored_dirs = 0;
-  SimTime restore_charge = 0;
-  std::size_t kept = 0;
-  for (FailoverEntry& e : failover_log_) {
-    if (e.original != mds) {
-      failover_log_[kept++] = e;
-      continue;
-    }
-    if (core_.partition.dir_owner(e.dir) == e.assigned) {
-      const std::uint64_t n =
-          core_.partition.migrate_single(e.dir, e.assigned, mds);
-      if (n > 0) {
-        restored_inodes += n;
-        ++restored_dirs;
-        ++core_.result.faults.restored_dirs;
-        restore_charge += core_.journals[mds].append_migration(
-            recovery::JournalRecordKind::kRestore, e.dir, e.assigned, mds,
-            core_.partition.ownership_epoch(e.dir), core_.queue.now());
-      }
-    }
-  }
-  failover_log_.resize(kept);
-  notify_fault(core_, engine::FaultEvent::Kind::kRecover, mds, restored_dirs);
-  if (restored_inodes > 0) {
+  EpochNamespace ns(core_);
+  const FaultPlane::Restore out = core_.fault_plane.restore(
+      mds, core_.queue.now(), ns, core_.result.faults);
+  notify_fault(core_, engine::FaultEvent::Kind::kRecover, mds, out.fragments);
+  if (out.load > 0) {
     core_.servers[mds].serve(core_.queue.now(),
                              core_.opt.cost_params.t_migrate_per_inode *
-                                     static_cast<SimTime>(restored_inodes) +
-                                 restore_charge);
+                                     static_cast<SimTime>(out.load) +
+                                 out.journal_charge);
   }
-}
-
-bool FailoverEngine::mds_down_during(MdsId mds, SimTime t0, SimTime t1) const {
-  if (!core_.faults_on) return false;
-  return timeline_.down_during(mds, t0, t1);
 }
 
 }  // namespace origami::cluster

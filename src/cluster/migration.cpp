@@ -1,7 +1,5 @@
 #include "origami/cluster/migration.hpp"
 
-#include "origami/cluster/failover.hpp"
-
 namespace origami::cluster {
 
 using fsns::NodeId;
@@ -78,8 +76,8 @@ void MigrationEngine::start_two_phase(const MigrationDecision& d) {
   const std::uint32_t epoch = core_.partition.ownership_epoch(d.subtree);
   const auto charge = TwoPhaseLog::record(
       recovery::JournalRecordKind::kPrepare, d.subtree, d.from, d.to, epoch,
-      now, &core_.journals[d.from], &core_.journals[d.to],
-      core_.ledger.get());
+      now, &core_.fault_plane.journal(d.from),
+      &core_.fault_plane.journal(d.to), core_.ledger.get());
   ++core_.result.faults.prepared_migrations;
   notify_phase(core_, engine::MigrationPhaseEvent::Phase::kPrepare, d, epoch,
                estimate);
@@ -109,8 +107,9 @@ void MigrationEngine::commit_migration(MigrationDecision d) {
     const std::uint32_t epoch = core_.partition.ownership_epoch(d.subtree);
     (void)TwoPhaseLog::record(
         recovery::JournalRecordKind::kAbort, d.subtree, d.from, d.to, epoch,
-        now, from_up ? &core_.journals[d.from] : nullptr,
-        to_up ? &core_.journals[d.to] : nullptr, core_.ledger.get());
+        now, from_up ? &core_.fault_plane.journal(d.from) : nullptr,
+        to_up ? &core_.fault_plane.journal(d.to) : nullptr,
+        core_.ledger.get());
     ++core_.result.faults.aborted_migrations;
     notify_phase(core_, engine::MigrationPhaseEvent::Phase::kAbort, d, epoch,
                  0);
@@ -119,69 +118,20 @@ void MigrationEngine::commit_migration(MigrationDecision d) {
   const auto epoch = static_cast<std::uint32_t>(++commit_seq_);
   const auto charge = TwoPhaseLog::record(
       recovery::JournalRecordKind::kCommit, d.subtree, d.from, d.to, epoch,
-      now, &core_.journals[d.from], &core_.journals[d.to],
-      core_.ledger.get());
+      now, &core_.fault_plane.journal(d.from),
+      &core_.fault_plane.journal(d.to), core_.ledger.get());
   core_.servers[d.from].serve(now, charge.from);
   core_.servers[d.to].serve(now, charge.to);
   ++core_.result.faults.committed_migrations;
   notify_phase(core_, engine::MigrationPhaseEvent::Phase::kCommit, d, epoch,
                moved);
-  if (core_.opt.kv_backing) {
-    core_.trace.tree.visit_subtree(d.subtree, [&](NodeId id) {
-      if (core_.partition.node_owner(id) != d.to) return;
-      core_.stores[d.from]->erase(core_.trace.tree, id);
-      core_.stores[d.to]->put(core_.trace.tree, id);
-    });
-  }
-  ++core_.result.migrations;
-  core_.result.inodes_migrated += moved;
-  if (!core_.result.epochs.empty()) {
-    // Credit the epoch whose boundary decided the move (PR-1 semantics).
-    ++core_.result.epochs.back().migrations;
-    core_.result.epochs.back().inodes_moved += moved;
-  }
+  // Credit the epoch whose boundary decided the move (PR-1 semantics); it
+  // was recorded when that boundary finished, before any COMMIT can run.
+  finish_move(d, moved, core_.result.epochs.back());
 }
 
-void MigrationEngine::apply(const MigrationDecision& d, EpochMetrics& em) {
-  if (d.subtree == fsns::kInvalidNode || d.from == d.to) return;
-  if (core_.faults_on &&
-      (core_.servers[d.from].is_down(core_.queue.now()) ||
-       core_.servers[d.to].is_down(core_.queue.now()))) {
-    // The partition map must never point at a down MDS: refuse moves
-    // touching one (the balancer saw a stale pre-crash snapshot).
-    ++core_.result.faults.aborted_migrations;
-    return;
-  }
-  if (core_.faults_on && core_.opt.recovery.two_phase_migration) {
-    start_two_phase(d);
-    return;
-  }
-  const std::uint64_t moved =
-      d.whole_subtree ? core_.partition.migrate(d.subtree, d.from, d.to)
-                      : core_.partition.migrate_single(d.subtree, d.from, d.to);
-  if (moved == 0) return;
-  const SimTime cost =
-      core_.opt.cost_params.t_migrate_per_inode * static_cast<SimTime>(moved);
-  if (core_.faults_on &&
-      (failover_->mds_down_during(d.from, core_.queue.now(),
-                                  core_.queue.now() + cost) ||
-       failover_->mds_down_during(d.to, core_.queue.now(),
-                                  core_.queue.now() + cost))) {
-    // An endpoint dies inside the copy window: abort and roll back.
-    // Ownership returns to the source atomically; the half-finished copy
-    // work is still charged to both ends (wasted effort is real).
-    const std::uint64_t rolled =
-        d.whole_subtree
-            ? core_.partition.migrate(d.subtree, d.to, d.from)
-            : core_.partition.migrate_single(d.subtree, d.to, d.from);
-    (void)rolled;
-    core_.servers[d.from].serve(core_.queue.now(), cost / 2);
-    core_.servers[d.to].serve(core_.queue.now(), cost / 2);
-    ++core_.result.faults.aborted_migrations;
-    return;
-  }
-  core_.servers[d.from].serve(core_.queue.now(), cost);
-  core_.servers[d.to].serve(core_.queue.now(), cost);
+void MigrationEngine::finish_move(const MigrationDecision& d,
+                                  std::uint64_t moved, EpochMetrics& em) {
   if (core_.opt.kv_backing) {
     core_.trace.tree.visit_subtree(d.subtree, [&](NodeId id) {
       if (core_.partition.node_owner(id) != d.to) return;
@@ -193,6 +143,30 @@ void MigrationEngine::apply(const MigrationDecision& d, EpochMetrics& em) {
   em.inodes_moved += moved;
   ++core_.result.migrations;
   core_.result.inodes_migrated += moved;
+}
+
+void MigrationEngine::apply(const MigrationDecision& d, EpochMetrics& em) {
+  if (d.subtree == fsns::kInvalidNode || d.from == d.to) return;
+  if (core_.faults_on) {
+    if (core_.servers[d.from].is_down(core_.queue.now()) ||
+        core_.servers[d.to].is_down(core_.queue.now())) {
+      // The partition map must never point at a down MDS: refuse moves
+      // touching one (the balancer saw a stale pre-crash snapshot).
+      ++core_.result.faults.aborted_migrations;
+      return;
+    }
+    start_two_phase(d);
+    return;
+  }
+  const std::uint64_t moved =
+      d.whole_subtree ? core_.partition.migrate(d.subtree, d.from, d.to)
+                      : core_.partition.migrate_single(d.subtree, d.from, d.to);
+  if (moved == 0) return;
+  const SimTime cost =
+      core_.opt.cost_params.t_migrate_per_inode * static_cast<SimTime>(moved);
+  core_.servers[d.from].serve(core_.queue.now(), cost);
+  core_.servers[d.to].serve(core_.queue.now(), cost);
+  finish_move(d, moved, em);
 }
 
 }  // namespace origami::cluster

@@ -3,7 +3,8 @@
 // The former 1,200-line Replayer monolith now lives in five subsystems:
 //   plan       per-op visit planning (RequestPlanner::build_plan)
 //   exec       in-flight slot state machine (hop/advance/finish, issue loops)
-//   failover   fault delivery, retries, crash windows, log-replay failover
+//   failover   fault delivery, retries, crash windows, recovery pricing
+//              (the crash protocol itself is the shared fault_plane)
 //   migration  two-phase PREPARE/COMMIT/ABORT driver
 //   stats      issue accounting, epoch snapshots, summary + CSV emission
 // This file only wires them around one EngineCore and drives the epoch loop.
@@ -35,7 +36,6 @@ class Replayer {
         migration_(core_) {
     exec_.bind(failover_);
     failover_.bind(exec_);
-    migration_.bind(failover_);
   }
 
   RunResult run() {
@@ -56,7 +56,8 @@ class Replayer {
  private:
   void epoch_boundary() {
     // Materialise the next epoch's fault windows before applying any
-    // migration decisions, so abort checks below can see upcoming crashes.
+    // migration decisions: their events queue ahead of this boundary's
+    // COMMITs, and byte-identity rests on that order at equal instants.
     if (core_.faults_on) failover_.schedule_epoch_faults(core_.epoch_index + 1);
 
     const EpochSnapshot snap = begin_epoch_snapshot(core_);

@@ -87,39 +87,7 @@ void finalize_run(EngineCore& core) {
       result.faults.time_down += s.time_down();
       result.faults.time_degraded += s.time_degraded();
     }
-    if (core.async_commit) {
-      // Clean shutdown: the surviving commit buffers flush, so only
-      // crash-dropped records remain non-durable. No cost is charged —
-      // the workload is already drained. The real stores drain their
-      // buffers in lockstep, as they did all run.
-      for (auto& j : core.journals) {
-        (void)j.flush(core.queue.now());
-      }
-      if (core.opt.kv_backing) {
-        for (auto& s : core.stores) (void)s->commit();
-      }
-    }
-    for (const auto& j : core.journals) {
-      result.faults.journal_records += j.appended();
-      result.faults.journal_checkpoints += j.checkpoints();
-      result.faults.torn_tail_truncations += j.torn_truncations();
-    }
-    if (core.async_commit) {
-      for (const auto& j : core.journals) {
-        result.faults.group_commits += j.group_commits();
-        result.faults.group_commit_records += j.group_commit_records();
-        result.faults.max_commit_lag = std::max(
-            result.faults.max_commit_lag, j.durability().max_ack_to_durable());
-        for (const auto& rec : j.durability().history()) {
-          if (rec.lost_at == recovery::DurabilityWindow::kNever) continue;
-          if (rec.acked_at != recovery::DurabilityWindow::kNever) {
-            ++result.faults.acked_lost_ops;
-          } else {
-            ++result.faults.unacked_lost_ops;
-          }
-        }
-      }
-    }
+    core.fault_plane.roll_up(core.queue.now(), result.faults);
   }
 
   // Post-warm-up steady state: throughput and imbalance factors.
@@ -178,16 +146,17 @@ void finalize_run(EngineCore& core) {
     core.ledger->down_at_end = result.mds_down_at_end;
     core.ledger->hash_file_inodes = core.partition.hash_file_inodes();
     core.ledger->acked_mutations.shrink_to_fit();
-    core.ledger->journals.reserve(core.journals.size());
-    for (const auto& j : core.journals) {
+    const auto& journals = core.fault_plane.journals();
+    core.ledger->journals.reserve(journals.size());
+    for (const auto& j : journals) {
       core.ledger->journals.push_back(j.snapshot());
     }
-    if (core.async_commit) {
+    if (core.fault_plane.async_commit()) {
       core.ledger->async_commit = true;
       core.ledger->commit_window = core.opt.recovery.commit_window;
       core.ledger->commit_batch = core.opt.recovery.commit_batch;
-      core.ledger->durability.reserve(core.journals.size());
-      for (const auto& j : core.journals) {
+      core.ledger->durability.reserve(journals.size());
+      for (const auto& j : journals) {
         core.ledger->durability.push_back(j.durability().history());
       }
       if (core.opt.kv_backing) {

@@ -109,13 +109,4 @@ std::vector<FaultWindow> FaultInjector::windows_for_epoch(
   return out;
 }
 
-bool FaultInjector::scheduled_down_overlaps(std::uint32_t mds, sim::SimTime t0,
-                                            sim::SimTime t1) const {
-  for (const FaultWindow& w : plan_.scheduled) {
-    if (w.mds != mds || w.kind != FaultKind::kCrash) continue;
-    if (w.from < t1 && w.until > t0) return true;
-  }
-  return false;
-}
-
 }  // namespace origami::fault

@@ -1,11 +1,11 @@
 #include "origami/fs/live_replay.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "origami/cluster/failover.hpp"
+#include "origami/cluster/fault_plane.hpp"
 #include "origami/cluster/migration.hpp"
 #include "origami/common/mpmc_queue.hpp"
 #include "origami/wl/arrival.hpp"
@@ -78,6 +78,13 @@ struct ShardTask {
 
 using TaskBatch = std::vector<ShardTask>;
 
+/// Operations between fault/commit sync points (see `sync_point`): an
+/// internal cadence, so results are deterministic for any fixed value.
+constexpr std::uint64_t kSyncOps = 512;
+/// One fault-sampling interval on the virtual clock (the live analogue of
+/// the simulator's epoch length for `windows_for_epoch`).
+constexpr sim::SimTime kFaultEpoch = sim::millis(500);
+
 /// Per-shard measurement-plane accumulator, owned exclusively by the
 /// worker serving that shard and merged in shard order at finalize.
 struct ShardPartial {
@@ -86,9 +93,50 @@ struct ShardPartial {
   std::uint64_t served = 0;
 };
 
-/// The live-mode twin of the simulator's exec/failover/migration stack,
-/// sharing its building blocks (FaultInjector sampling, FaultTimeline,
-/// TwoPhaseLog, MetadataJournal), now with a real serving plane:
+/// The live engine's namespace as the fault plane sees it: shards over the
+/// OrigamiFs ownership map, fragments are directory inodes walked in inode
+/// order and weighed in stored dirents, and every successful reassignment
+/// counts as a move — empty fragments included.
+class ShardNamespace final : public cluster::FaultNamespace {
+ public:
+  ShardNamespace(OrigamiFs& fsys, const std::vector<bool>& down)
+      : fsys_(fsys), down_(down) {}
+
+  [[nodiscard]] bool down(std::uint32_t shard) const override {
+    return down_[shard];
+  }
+  [[nodiscard]] std::vector<std::uint64_t> loads() const override {
+    std::vector<std::uint64_t> entries;
+    for (const ShardStats& st : fsys_.shard_stats()) {
+      entries.push_back(st.entries);
+    }
+    return entries;
+  }
+  [[nodiscard]] std::vector<std::uint64_t> fragments_of(
+      std::uint32_t shard) const override {
+    return fsys_.dirs_owned_by(shard);
+  }
+  [[nodiscard]] std::uint32_t ownership_epoch(
+      std::uint64_t dir) const override {
+    return fsys_.ownership_epoch(dir);
+  }
+  std::optional<std::uint64_t> move(std::uint64_t dir, std::uint32_t from,
+                                    std::uint32_t to) override {
+    if (fsys_.dir_shard(dir) != from) return std::nullopt;
+    auto r = fsys_.reassign_dir(dir, to);
+    if (!r.is_ok()) return std::nullopt;
+    return r.value();
+  }
+
+ private:
+  OrigamiFs& fsys_;
+  const std::vector<bool>& down_;
+};
+
+/// The live-mode twin of the simulator's exec/failover/migration stack: it
+/// shares the crash protocol (`cluster::FaultPlane`: fault injector,
+/// per-shard journals, failover log) and `TwoPhaseLog` with the epoch
+/// engine, and runs a real serving plane:
 ///
 ///  - a serial *issuer* (the calling thread) resolves and mutates the
 ///    namespace in seed op order, runs the retry/fencing client model, and
@@ -100,7 +148,7 @@ struct ShardPartial {
 ///    `s`) and own the measurement plane (latency histograms, busy
 ///    clocks) and the durability plane (journal appends, group-commit
 ///    flush decisions on the shard clock);
-///  - with faults armed, the issuer drains the lanes every `sync_ops`
+///  - with faults armed, the issuer drains the lanes every `kSyncOps`
 ///    operations and fires due crashes/recoveries plus the commit-window
 ///    sweep against the quiesced journals and stores.
 ///
@@ -115,12 +163,7 @@ class LiveEngine final : public LiveFaultContext {
         fsys_(fsys),
         opt_(opt),
         faults_on_(opt.faults.enabled()),
-        async_(faults_on_ && opt.recovery.commit_mode ==
-                                 recovery::CommitMode::kAsync),
-        kv_async_(async_ && fsys.shard_count() > 0 &&
-                  fsys.shard_db(0).options().commit_mode ==
-                      kv::CommitMode::kAsync),
-        injector_(opt.faults, fsys.shard_count()),
+        plane_(opt.faults, opt.recovery, fsys.shard_count()),
         loss_rng_(opt.faults.seed ^ 0x11febeefULL),
         arrival_(wl::resolve_arrival(opt.arrival, opt.issue_rate,
                                      /*poisson_legacy=*/false,
@@ -128,19 +171,22 @@ class LiveEngine final : public LiveFaultContext {
         arrival_rng_(opt.faults.seed ^ 0xa114a1ULL),
         model_(opt.cost),
         mat_(trace.tree, fsys) {
-    const std::uint32_t n = std::max<std::uint32_t>(1, fsys_.shard_count());
+    const std::uint32_t n = fsys_.shard_count();
     shard_clock_.assign(n, 0);
     client_ready_.assign(std::max<std::uint32_t>(1, opt_.clients), 0);
-    sync_ops_ = std::max<std::uint64_t>(1, opt_.sync_ops);
-    fault_epoch_len_ = std::max<sim::SimTime>(1, opt_.fault_epoch);
     if (faults_on_) {
       down_.assign(n, false);
       down_until_.assign(n, 0);
-      timeline_.resize(n);
       stragglers_.resize(n);
       strag_cursor_.assign(n, 0);
-      journals_.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) journals_.emplace_back(opt_.recovery);
+    }
+    if (plane_.async_commit() &&
+        fsys.shard_db(0).options().commit_mode == kv::CommitMode::kAsync) {
+      // The shard stores group-commit too: crashes tear them and the
+      // sync-point sweeps and the roll-up drain them in lockstep.
+      for (std::uint32_t s = 0; s < n; ++s) {
+        plane_.attach_group_commit_store(fsys.shard_db(s));
+      }
     }
     start_workers(n);
   }
@@ -158,7 +204,7 @@ class LiveEngine final : public LiveFaultContext {
     for (std::size_t i = 0; i < trace_.ops.size(); ++i) {
       // Fault/commit sync point: quiesce the serving plane, then fire
       // everything due on the virtual clock against the idle journals.
-      if (faults_on_ && i % sync_ops_ == 0) sync_point();
+      if (faults_on_ && i % kSyncOps == 0) sync_point();
 
       const wl::MetaOp& op = trace_.ops[i];
       const fsns::NodeId home_node = trace_.tree.is_dir(op.target)
@@ -221,46 +267,31 @@ class LiveEngine final : public LiveFaultContext {
 
   void record_prepare(Ino subtree, std::uint32_t from,
                       std::uint32_t to) override {
-    if (!faults_on_) return;
-    two_phase_.add(subtree);
-    cluster::TwoPhaseLog::record(
-        recovery::JournalRecordKind::kPrepare,
-        static_cast<fsns::NodeId>(subtree), from, to,
-        fsys_.ownership_epoch(subtree), vnow_, journal_if_up(from),
-        journal_if_up(to), nullptr);
-    ++stats_.faults.prepared_migrations;
+    record(recovery::JournalRecordKind::kPrepare, subtree, from, to,
+           stats_.faults.prepared_migrations);
   }
-
   void record_commit(Ino subtree, std::uint32_t from,
                      std::uint32_t to) override {
-    if (!faults_on_) return;
-    two_phase_.remove(subtree);
-    cluster::TwoPhaseLog::record(
-        recovery::JournalRecordKind::kCommit,
-        static_cast<fsns::NodeId>(subtree), from, to,
-        fsys_.ownership_epoch(subtree), vnow_, journal_if_up(from),
-        journal_if_up(to), nullptr);
-    ++stats_.faults.committed_migrations;
+    record(recovery::JournalRecordKind::kCommit, subtree, from, to,
+           stats_.faults.committed_migrations);
   }
-
   void record_abort(Ino subtree, std::uint32_t from,
                     std::uint32_t to) override {
-    if (!faults_on_) return;
-    two_phase_.remove(subtree);
-    cluster::TwoPhaseLog::record(
-        recovery::JournalRecordKind::kAbort,
-        static_cast<fsns::NodeId>(subtree), from, to,
-        fsys_.ownership_epoch(subtree), vnow_, journal_if_up(from),
-        journal_if_up(to), nullptr);
-    ++stats_.faults.aborted_migrations;
+    record(recovery::JournalRecordKind::kAbort, subtree, from, to,
+           stats_.faults.aborted_migrations);
   }
 
  private:
-  struct FailoverEntry {
-    Ino dir;
-    std::uint32_t original;
-    std::uint32_t assigned;
-  };
+  /// Journals one two-phase transition at each live endpoint and counts it.
+  void record(recovery::JournalRecordKind kind, Ino subtree,
+              std::uint32_t from, std::uint32_t to, std::uint64_t& counter) {
+    if (!faults_on_) return;
+    cluster::TwoPhaseLog::record(kind, static_cast<fsns::NodeId>(subtree),
+                                 from, to, fsys_.ownership_epoch(subtree),
+                                 vnow_, journal_if_up(from), journal_if_up(to),
+                                 nullptr);
+    ++counter;
+  }
 
   struct StragglerWindow {
     sim::SimTime from;
@@ -271,23 +302,9 @@ class LiveEngine final : public LiveFaultContext {
   static constexpr std::size_t kBatchSize = 64;  ///< tasks per lane batch
   static constexpr std::size_t kLaneDepth = 64;  ///< batches per lane
 
-  static bool is_mutation(fsns::OpType type) {
-    switch (type) {
-      case fsns::OpType::kCreate:
-      case fsns::OpType::kMkdir:
-      case fsns::OpType::kUnlink:
-      case fsns::OpType::kRmdir:
-      case fsns::OpType::kRename:
-      case fsns::OpType::kSetattr:
-        return true;
-      default:
-        return false;
-    }
-  }
-
   [[nodiscard]] recovery::MetadataJournal* journal_if_up(std::uint32_t shard) {
-    if (shard >= journals_.size() || down_[shard]) return nullptr;
-    return &journals_[shard];
+    if (shard >= plane_.journals().size() || down_[shard]) return nullptr;
+    return &plane_.journal(shard);
   }
 
   // --- serving plane -------------------------------------------------------
@@ -332,9 +349,9 @@ class LiveEngine final : public LiveFaultContext {
     p.busy += t.service;
     ++p.served;
     if (t.op_id == 0) return;
-    recovery::MetadataJournal& journal = journals_[t.shard];
+    recovery::MetadataJournal& journal = plane_.journal(t.shard);
     journal.append_op(t.op_id, t.home, t.stamp);
-    if (!async_) return;
+    if (!plane_.async_commit()) return;
     // Live calls return synchronously, so the ack lands with the append;
     // durability still waits for the group commit. The serving thread
     // decides its own flushes on the shard clock: batch size first, then
@@ -407,7 +424,7 @@ class LiveEngine final : public LiveFaultContext {
     task.stamp = shard_clock_[shard];
     task.service = service;
     task.latency_ns = static_cast<std::uint64_t>(completion - arrival);
-    if (faults_on_ && is_mutation(op.type) && home != kInvalidIno) {
+    if (faults_on_ && fsns::is_write(op.type) && home != kInvalidIno) {
       task.op_id = ++next_op_id_;
       task.home = static_cast<fsns::NodeId>(home);
     }
@@ -457,24 +474,18 @@ class LiveEngine final : public LiveFaultContext {
     return service;
   }
 
-  // --- fault plane ---------------------------------------------------------
+  // --- fault timing and down state ------------------------------------------
 
   /// Materialises fault-sampling epochs through virtual time `t`. Sampling
   /// is keyed by (seed, epoch, shard), so on-demand materialisation is
   /// identical no matter when or how often it happens.
   void ensure_fault_epochs(sim::SimTime t) {
-    while (static_cast<sim::SimTime>(next_fault_epoch_) * fault_epoch_len_ <=
-           t) {
+    while (static_cast<sim::SimTime>(next_fault_epoch_) * kFaultEpoch <= t) {
       const std::uint32_t e = next_fault_epoch_++;
-      const sim::SimTime start =
-          static_cast<sim::SimTime>(e) * fault_epoch_len_;
-      auto windows = injector_.windows_for_epoch(e, start, fault_epoch_len_);
-      std::stable_sort(windows.begin(), windows.end(),
-                       [](const fault::FaultWindow& a,
-                          const fault::FaultWindow& b) {
-                         return a.from < b.from;
-                       });
-      for (const fault::FaultWindow& w : windows) {
+      const sim::SimTime start = static_cast<sim::SimTime>(e) * kFaultEpoch;
+      // Windows come back sorted by start, so crashes_ stays from-sorted.
+      for (const fault::FaultWindow& w :
+           plane_.injector().windows_for_epoch(e, start, kFaultEpoch)) {
         if (w.mds >= shard_clock_.size()) continue;
         if (w.kind == fault::FaultKind::kCrash) {
           crashes_.push_back(w);
@@ -486,7 +497,7 @@ class LiveEngine final : public LiveFaultContext {
     }
   }
 
-  /// Runs at every `sync_ops` boundary with the serving plane quiesced:
+  /// Runs at every `kSyncOps` boundary with the serving plane quiesced:
   /// fires recoveries and crashes due on the virtual clock, then sweeps
   /// aged commit windows (and the shard stores' group commits).
   void sync_point() {
@@ -501,99 +512,21 @@ class LiveEngine final : public LiveFaultContext {
       const fault::FaultWindow w = crashes_[crash_cursor_++];
       if (!down_[w.mds]) crash(w);
     }
-    if (async_) flush_due();
+    if (plane_.async_commit()) flush_due();
   }
 
   void crash(const fault::FaultWindow& w) {
-    const std::uint32_t s = w.mds;
     const sim::SimTime until = std::max(w.until, vnow_ + 1);
-    ++stats_.faults.crashes;
     stats_.faults.time_down += until - vnow_;
-    down_[s] = true;
-    down_until_[s] = until;
-    timeline_.note(s, vnow_, until);
-    if (async_) {
-      // The commit buffer dies with the shard; the durability window
-      // classifies the swept records (acked-but-lost vs unacked-and-lost)
-      // and finalize() rolls them into the stats.
-      (void)journals_[s].crash_drop_pending(vnow_);
-      if (kv_async_) {
-        // The real store crashes with the process: its commit buffer is
-        // swept, its WAL tail torn, and recovery replays the surviving
-        // durable prefix into a fresh memtable.
-        kv::Db& store = fsys_.shard_db(s);
-        const kv::Db::LossReport loss =
-            store.simulate_crash(/*tear_wal_tail=*/true);
-        kv::WalReplayStats replay;
-        (void)store.recover(&replay);
-        ++stats_.faults.kv_crash_recoveries;
-        stats_.faults.kv_replayed_records += replay.records;
-        stats_.faults.kv_acked_lost_records += loss.acked_lost.size();
-      }
-    }
-    journals_[s].simulate_torn_write();
-
-    // Fail the dead shard's fragments over to the least-loaded survivors,
-    // recording the handoff so recovery can restore it.
-    auto shard_stats = fsys_.shard_stats();
-    std::vector<std::uint64_t> entries(shard_stats.size(), 0);
-    for (std::size_t i = 0; i < shard_stats.size(); ++i) {
-      entries[i] = shard_stats[i].entries;
-    }
-    std::uint64_t moved_dirs = 0;
-    for (const Ino dir : fsys_.dirs_owned_by(s)) {
-      const std::uint32_t target = least_loaded_survivor(entries, s);
-      if (target == s) break;  // no survivor left to absorb anything
-      auto r = fsys_.reassign_dir(dir, target);
-      if (!r.is_ok()) continue;
-      entries[target] += r.value();
-      failover_log_.push_back({dir, s, target});
-      journals_[target].append_migration(
-          recovery::JournalRecordKind::kFailover,
-          static_cast<fsns::NodeId>(dir), s, target,
-          fsys_.ownership_epoch(dir));
-      ++moved_dirs;
-    }
-    // The survivors replay the dead shard's journal (torn tail truncated)
-    // to re-establish its acknowledged mutations.
-    const auto outcome = journals_[s].recover_replay();
-    ++stats_.faults.journal_replays;
-    stats_.faults.journal_replayed_records += outcome.replayed_records;
-    if (moved_dirs > 0) {
-      ++stats_.faults.failovers;
-      stats_.faults.failover_dirs += moved_dirs;
-      ++stats_.faults.recovery_windows;
-    }
+    down_[w.mds] = true;
+    down_until_[w.mds] = until;
+    plane_.crash(w.mds, vnow_, stats_.faults, /*ledger=*/nullptr);
+    (void)plane_.failover(w.mds, vnow_, shard_ns_, stats_.faults);
   }
 
   void recover(std::uint32_t s) {
     down_[s] = false;
-    for (const FailoverEntry& e : failover_log_) {
-      if (e.original != s) continue;
-      // Hand back only fragments still where failover parked them (the
-      // balancer may have legitimately moved them since).
-      if (fsys_.dir_shard(e.dir) != e.assigned) continue;
-      if (fsys_.reassign_dir(e.dir, s).is_ok()) {
-        journals_[s].append_migration(recovery::JournalRecordKind::kRestore,
-                                      static_cast<fsns::NodeId>(e.dir),
-                                      e.assigned, s,
-                                      fsys_.ownership_epoch(e.dir));
-        ++stats_.faults.restored_dirs;
-      }
-    }
-    std::erase_if(failover_log_, [s](const FailoverEntry& e) {
-      return e.original == s;
-    });
-  }
-
-  [[nodiscard]] std::uint32_t least_loaded_survivor(
-      const std::vector<std::uint64_t>& entries, std::uint32_t dead) const {
-    std::uint32_t best = dead;
-    for (std::uint32_t s = 0; s < entries.size(); ++s) {
-      if (s == dead || down_[s]) continue;
-      if (best == dead || entries[s] < entries[best]) best = s;
-    }
-    return best;
+    (void)plane_.restore(s, vnow_, shard_ns_, stats_.faults);
   }
 
   /// Client-side delivery: message loss/corruption triggers the bounded
@@ -648,18 +581,14 @@ class LiveEngine final : public LiveFaultContext {
   /// whose oldest buffered record aged past the commit window, and let the
   /// real stores group-commit whatever their own triggers left buffered.
   void flush_due() {
-    for (std::uint32_t s = 0; s < journals_.size(); ++s) {
-      recovery::MetadataJournal& journal = journals_[s];
+    for (std::uint32_t s = 0; s < plane_.journals().size(); ++s) {
+      recovery::MetadataJournal& journal = plane_.journal(s);
       if (journal.pending_records() == 0) continue;
       if (vnow_ - journal.oldest_pending_at() >= opt_.recovery.commit_window) {
         (void)journal.flush(vnow_);
       }
     }
-    if (kv_async_) {
-      for (std::uint32_t s = 0; s < fsys_.shard_count(); ++s) {
-        (void)fsys_.shard_db(s).commit();
-      }
-    }
+    plane_.commit_group_stores();
   }
 
   common::Status execute(const wl::MetaOp& op) {
@@ -762,43 +691,16 @@ class LiveEngine final : public LiveFaultContext {
       loads.push_back(static_cast<double>(st.lookups + st.mutations));
     }
     stats_.shard_imbalance = cost::imbalance_factor(loads);
-    if (async_) {
-      // Clean shutdown: surviving buffers flush, so only crash-dropped
-      // records stay non-durable. The real stores drain in lockstep.
-      for (recovery::MetadataJournal& j : journals_) (void)j.flush(vnow_);
-      if (kv_async_) {
-        for (std::uint32_t s = 0; s < fsys_.shard_count(); ++s) {
-          (void)fsys_.shard_db(s).commit();
-        }
-      }
-    }
-    for (const recovery::MetadataJournal& j : journals_) {
-      stats_.faults.journal_records += j.appended();
-      stats_.faults.journal_checkpoints += j.checkpoints();
-      stats_.faults.torn_tail_truncations += j.torn_truncations();
-      if (!async_) continue;
-      stats_.faults.group_commits += j.group_commits();
-      stats_.faults.group_commit_records += j.group_commit_records();
-      stats_.faults.max_commit_lag = std::max(
-          stats_.faults.max_commit_lag, j.durability().max_ack_to_durable());
-      for (const auto& rec : j.durability().history()) {
-        if (rec.lost_at == recovery::DurabilityWindow::kNever) continue;
-        if (rec.acked_at != recovery::DurabilityWindow::kNever) {
-          ++stats_.faults.acked_lost_ops;
-        } else {
-          ++stats_.faults.unacked_lost_ops;
-        }
-      }
-    }
+    plane_.roll_up(vnow_, stats_.faults);
   }
 
   const wl::Trace& trace_;
   OrigamiFs& fsys_;
   const LiveReplayOptions& opt_;
   bool faults_on_;
-  bool async_;     ///< group-committed journaling (kAsync with faults armed)
-  bool kv_async_;  ///< the shard stores group-commit too (kAsync DbOptions)
-  fault::FaultInjector injector_;
+  /// Crash protocol shared with the epoch engine: fault injector, one
+  /// journal per shard (handed to the workers between syncs), failover log.
+  cluster::FaultPlane plane_;
   common::Xoshiro256 loss_rng_;
   /// The request-arrival process (wl/arrival.hpp), shared implementation
   /// with the epoch DES. Closed-loop policies read `client_ready_`;
@@ -815,11 +717,9 @@ class LiveEngine final : public LiveFaultContext {
   std::vector<sim::SimTime> client_ready_;  ///< per-client next-issue time
   sim::SimTime vnow_ = 0;                   ///< max completion seen so far
   sim::SimTime prev_arrival_ = 0;           ///< open loop: last stamped arrival
-  std::uint64_t sync_ops_ = 512;
-  sim::SimTime fault_epoch_len_ = 1;
   std::vector<std::uint32_t> owners_buf_;  ///< scratch for distinct_owners
 
-  // Fault plane (issuer-owned; journals handed to workers between syncs).
+  // Fault timing, down state and client model (issuer-owned).
   std::uint32_t next_fault_epoch_ = 0;
   std::vector<fault::FaultWindow> crashes_;  ///< crash windows, from-sorted
   std::size_t crash_cursor_ = 0;
@@ -827,10 +727,7 @@ class LiveEngine final : public LiveFaultContext {
   std::vector<std::size_t> strag_cursor_;
   std::vector<bool> down_;
   std::vector<sim::SimTime> down_until_;
-  cluster::FaultTimeline timeline_;
-  std::vector<recovery::MetadataJournal> journals_;
-  std::vector<FailoverEntry> failover_log_;
-  cluster::TwoPhaseLog two_phase_;
+  ShardNamespace shard_ns_{fsys_, down_};
   std::unordered_map<Ino, std::uint32_t> cached_;  // client route cache
   std::uint64_t next_op_id_ = 0;
 

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "origami/cluster/fault_plane.hpp"
 #include "origami/cluster/replay.hpp"
 #include "origami/fault/fault.hpp"
 #include "origami/fs/live_replay.hpp"
@@ -148,9 +152,6 @@ TEST(FaultInjector, ScheduledWindowsSurface) {
   ASSERT_EQ(w1.size(), 1u);
   EXPECT_EQ(w1[0].mds, 2u);
   EXPECT_EQ(w1[0].from, sim::millis(750));
-  EXPECT_TRUE(inj.scheduled_down_overlaps(2, sim::millis(800), sim::millis(850)));
-  EXPECT_FALSE(inj.scheduled_down_overlaps(2, sim::millis(900), sim::millis(950)));
-  EXPECT_FALSE(inj.scheduled_down_overlaps(1, sim::millis(800), sim::millis(850)));
 }
 
 // ---------------------------------------------------------------- backoff --
@@ -565,6 +566,143 @@ TEST(LiveReplayFaults, SameSeedIsReproducible) {
   EXPECT_EQ(ra.faults.retries, rb.faults.retries);
   EXPECT_EQ(ra.faults.fenced_rejections, rb.faults.fenced_rejections);
   EXPECT_EQ(ra.faults.journal_records, rb.faults.journal_records);
+}
+
+// ------------------------------------------------------------ fault plane --
+// The crash protocol both engines share, driven directly over a toy
+// namespace: fragments are ids with an owner, each weighing one unit.
+
+class ToyNamespace final : public cluster::FaultNamespace {
+ public:
+  explicit ToyNamespace(std::vector<std::uint64_t> loads)
+      : loads_(std::move(loads)) {}
+
+  void own(std::uint64_t fragment, std::uint32_t entity) {
+    owner_[fragment] = entity;
+  }
+
+  [[nodiscard]] bool down(std::uint32_t) const override { return false; }
+  [[nodiscard]] std::vector<std::uint64_t> loads() const override {
+    return loads_;
+  }
+  [[nodiscard]] std::vector<std::uint64_t> fragments_of(
+      std::uint32_t entity) const override {
+    std::vector<std::uint64_t> out;
+    for (const auto& [fragment, owner] : owner_) {
+      if (owner == entity) out.push_back(fragment);
+    }
+    return out;
+  }
+  [[nodiscard]] std::uint32_t owner(std::uint64_t fragment) const {
+    return owner_.at(fragment);
+  }
+  [[nodiscard]] std::uint32_t ownership_epoch(
+      std::uint64_t fragment) const override {
+    const auto it = epoch_.find(fragment);
+    return it == epoch_.end() ? 0 : it->second;
+  }
+  std::optional<std::uint64_t> move(std::uint64_t fragment, std::uint32_t from,
+                                    std::uint32_t to) override {
+    if (owner_.at(fragment) != from) return std::nullopt;
+    owner_[fragment] = to;
+    ++epoch_[fragment];
+    return 1;
+  }
+
+ private:
+  std::vector<std::uint64_t> loads_;
+  std::map<std::uint64_t, std::uint32_t> owner_;
+  std::map<std::uint64_t, std::uint32_t> epoch_;
+};
+
+fault::FaultPlan armed_plan() {
+  fault::FaultPlan plan;
+  plan.crash_prob = 0.1;  // any armed source creates the journals
+  return plan;
+}
+
+TEST(FaultPlane, FailoverStampsBufferedRecordsDurableAtFailoverTime) {
+  recovery::RecoveryParams params;
+  params.commit_mode = recovery::CommitMode::kAsync;
+  cluster::FaultPlane plane(armed_plan(), params, 3);
+  // Entity 1 holds an acked op still waiting for its group commit.
+  (void)plane.journal(1).append_op(/*op_id=*/1, /*node=*/10, sim::micros(100));
+  plane.journal(1).note_acked(1, sim::micros(150));
+
+  ToyNamespace ns({5, 1, 3});  // entity 1 is the least-loaded survivor
+  ns.own(7, 0);
+  cluster::RobustnessStats stats;
+  const SimTime at = sim::millis(1);
+  plane.crash(0, at, stats, nullptr);
+  const auto out = plane.failover(0, at, ns, stats);
+  ASSERT_EQ(out.moved.size(), 1u);
+  EXPECT_EQ(ns.owner(7), 1u);
+
+  // The kFailover append forces the buffer out at the failover instant, so
+  // the ack-to-durable window is measured on the engine's clock.
+  const auto& history = plane.journal(1).durability().history();
+  ASSERT_EQ(history.size(), 1u);
+  EXPECT_EQ(history[0].durable_at, at);
+  EXPECT_EQ(plane.journal(1).durability().max_ack_to_durable(),
+            at - sim::micros(150));
+}
+
+TEST(FaultPlane, CrashOfAnEmptyOwnerReplaysAndTruncatesItsJournalOnce) {
+  cluster::FaultPlane plane(armed_plan(), recovery::RecoveryParams{}, 3);
+  (void)plane.journal(0).append_op(1, 10);
+  (void)plane.journal(0).append_op(2, 11);
+
+  ToyNamespace ns({0, 0, 0});
+  ns.own(7, 1);  // entity 0 owns nothing at the crash
+  cluster::RobustnessStats stats;
+  plane.crash(0, sim::millis(1), stats, nullptr);
+  const auto out = plane.failover(0, sim::millis(1), ns, stats);
+
+  EXPECT_TRUE(out.moved.empty());
+  EXPECT_TRUE(out.replay.torn_tail);
+  EXPECT_EQ(out.replay.replayed_records, 2u);
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.journal_replays, 1u);
+  EXPECT_EQ(stats.journal_replayed_records, 2u);
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(stats.recovery_windows, 0u);
+  EXPECT_EQ(plane.journal(0).torn_truncations(), 1u);
+  EXPECT_TRUE(plane.log().empty());
+
+  // The restart's log is clean: a later append survives the next scan.
+  (void)plane.journal(0).append_op(3, 12);
+  const auto again = plane.journal(0).recover_replay();
+  EXPECT_EQ(again.replayed_records, 3u);
+  EXPECT_FALSE(again.torn_tail);
+  EXPECT_EQ(plane.journal(0).torn_truncations(), 1u);
+}
+
+TEST(FaultPlane, RestoreSkipsAFragmentTheBalancerMovedAfterFailover) {
+  cluster::FaultPlane plane(armed_plan(), recovery::RecoveryParams{}, 3);
+  ToyNamespace ns({0, 0, 10});
+  ns.own(7, 0);
+  ns.own(8, 0);
+  cluster::RobustnessStats stats;
+  plane.crash(0, sim::millis(1), stats, nullptr);
+  const auto out = plane.failover(0, sim::millis(1), ns, stats);
+  ASSERT_EQ(out.moved.size(), 2u);
+  ASSERT_EQ(ns.owner(7), 1u);
+  ASSERT_EQ(ns.owner(8), 1u);
+
+  (void)ns.move(8, 1, 2);  // the balancer moves one on before recovery
+  const auto back = plane.restore(0, sim::millis(5), ns, stats);
+  EXPECT_EQ(back.fragments, 1u);
+  EXPECT_EQ(ns.owner(7), 0u);
+  EXPECT_EQ(ns.owner(8), 2u);
+  EXPECT_EQ(stats.restored_dirs, 1u);
+  EXPECT_TRUE(plane.log().empty());
+
+  const auto view = plane.journal(0).snapshot();
+  ASSERT_EQ(view.live.size(), 1u);
+  EXPECT_EQ(view.live[0].kind, recovery::JournalRecordKind::kRestore);
+  EXPECT_EQ(view.live[0].node, 7u);
+  EXPECT_EQ(view.live[0].from, 1u);
+  EXPECT_EQ(view.live[0].to, 0u);
 }
 
 // ------------------------------------------------------ fault-plane goldens --
