@@ -55,7 +55,7 @@ class FaultPlane {
 
   /// What one failover did, for the epoch engine to price recovery windows.
   struct Failover {
-    std::vector<FailoverEntry> moved;          ///< also appended to log()
+    std::vector<FailoverEntry> moved;          ///< also kept for restore
     std::vector<std::uint64_t> absorbed;       ///< load each entity took on
     std::vector<sim::SimTime> journal_charge;  ///< its kFailover append cost
     recovery::MetadataJournal::RecoveryOutcome replay;  ///< dead journal's
@@ -88,10 +88,6 @@ class FaultPlane {
       const noexcept {
     return journals_;
   }
-  /// Failed-over fragments not yet handed back, in failover order.
-  [[nodiscard]] const std::vector<FailoverEntry>& log() const noexcept {
-    return log_;
-  }
 
   /// The storage side of a crash of `entity` at `now`. In async commit the
   /// commit buffer dies, and a group-committing store is crashed with a
@@ -123,6 +119,7 @@ class FaultPlane {
   bool async_;
   std::vector<recovery::MetadataJournal> journals_;
   std::vector<kv::Db*> stores_;
+  /// Failed-over fragments not yet handed back, in failover order.
   std::vector<FailoverEntry> log_;
 };
 

@@ -10,9 +10,9 @@
 
 namespace origami::engine {
 
-/// One two-phase migration transition (DESIGN.md §9). Fired for both the
-/// epoch simulator (subtree = NodeId, `at` = virtual ns) and the live
-/// service (subtree = inode number, `at` = op index).
+/// One two-phase migration transition (DESIGN.md §9). Shaped for both the
+/// epoch simulator (subtree = NodeId) and the live service (subtree =
+/// inode number); `at` is virtual ns in both.
 struct MigrationPhaseEvent {
   enum class Phase : std::uint8_t { kPrepare, kCommit, kAbort };
   Phase phase = Phase::kPrepare;

@@ -22,8 +22,8 @@ namespace origami::recovery {
 /// ops are never lost) and I8 (acked losses are bounded by the configured
 /// window and always reported).
 ///
-/// Timestamps use whatever monotone clock the execution plane runs on:
-/// virtual nanoseconds in the DES simulator, operation index in live mode.
+/// Timestamps are virtual nanoseconds in both engines: the DES clock in the
+/// simulator, the cost-model clock in live mode.
 class DurabilityWindow {
  public:
   /// Sentinel for "this event never happened (yet)".

@@ -266,6 +266,21 @@ set -e
   { echo "--shard-threads=2x exited ${rc_threads}, want 2"; exit 1; }
 echo "malformed --shard-threads rejected with exit 2"
 
+# 3f. The repository benchmark (bench/benchmark) is its own CMake project,
+#     so nothing above builds origami_bench. Build it, run its four
+#     --smoke --traced cases, then one full run of each faulted workload
+#     (5 reps of about 10 crashes each), every rep held to the benchmark's
+#     conservation, I1-I6 and digest gates.
+BENCH_DIR="${BUILD_ROOT}/bench"
+echo "=== [bench] repository benchmark build + smoke ==="
+cmake -S "${ROOT}/bench/benchmark" -B "${BENCH_DIR}" -DCMAKE_BUILD_TYPE=Release
+cmake --build "${BENCH_DIR}" -j "${JOBS}" --target origami_bench
+ctest --test-dir "${BENCH_DIR}" --output-on-failure
+echo "=== [bench] faulted workloads (correctness gates) ==="
+for w in midas-faulted falcon-live; do
+  "${BENCH_DIR}/origami_bench" --workload "${w}" --seed 1 --seconds 0
+done
+
 # 4. ThreadSanitizer over both concurrent planes: the determinism suite
 #    drives the parallel analysis plane (window analysis / Meta-OPT scoring
 #    / feature extraction) at 8 threads AND the live serving plane (shard
