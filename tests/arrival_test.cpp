@@ -5,7 +5,7 @@
 // pre-refactor engines' output exactly, in BOTH execution planes (epoch
 // DES and live service), clean and faulted, across seeds. The goldens in
 // tests/support/arrival_goldens.inc were captured before the refactor;
-// regenerate them only with tools/arrival_goldens.cpp and audit the diff.
+// regenerate them only with tools/goldens.cpp and audit the diff.
 #include <gtest/gtest.h>
 
 #include <memory>

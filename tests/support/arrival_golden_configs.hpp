@@ -1,11 +1,11 @@
 #pragma once
 
 // The exact workloads and option sets behind the arrival-plane golden
-// fingerprints. tools/arrival_goldens.cpp captured these against the
-// pre-refactor tree (hard-coded closed/open loops inside the engines);
-// tests/arrival_test.cpp replays them through the ArrivalPolicy plane and
-// demands the same bytes. Change anything here and the committed goldens
-// are void — regenerate with the tool and re-audit the diff.
+// fingerprints, captured against the pre-refactor tree (hard-coded
+// closed/open loops inside the engines); tests/arrival_test.cpp replays
+// them through the ArrivalPolicy plane and demands the same bytes. Change
+// anything here and the committed goldens are void — regenerate with
+// tools/goldens.cpp (family `arrival`) and re-audit the diff.
 
 #include <cstdint>
 

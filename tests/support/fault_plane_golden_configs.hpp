@@ -5,9 +5,9 @@
 // arrival goldens miss: the epoch engine over real per-MDS stores in sync
 // and async commit, and the live engine with group-committing shard stores
 // under a live policy, so failover and restore meet migrated fragments.
-// tools/fault_plane_goldens.cpp captured the committed fingerprints; change
-// anything here and they are void — regenerate with the tool and re-audit
-// the diff.
+// tools/goldens.cpp (family `fault-plane`) captured the committed
+// fingerprints; change anything here and they are void — regenerate with
+// the tool and re-audit the diff.
 
 #include <cstdint>
 #include <memory>

@@ -1,7 +1,7 @@
 #pragma once
 
 // Byte-identity fingerprints shared by the golden tests and the
-// regeneration tool (tools/arrival_goldens.cpp). A fingerprint serialises
+// regeneration tool (tools/goldens.cpp). A fingerprint serialises
 // every observable counter of a run — virtual-clock metrics, the latency
 // histogram shape, fault/recovery accounting, and the final ownership map —
 // so two runs compare as whole strings. Doubles are rendered as hexfloats:
@@ -162,6 +162,25 @@ inline std::string fault_plane_fingerprint(const fs::LiveReplayStats& s) {
       << f.kv_crash_recoveries << ' ' << f.kv_replayed_records << ' '
       << f.kv_acked_lost_records << ' ' << f.restored_dirs << ' '
       << f.time_degraded << '\n';
+  return out.str();
+}
+
+/// The live fault-plane fingerprint plus an FNV-1a fold of the final
+/// directory -> shard map, shard by shard in ino order: what a live policy
+/// decided, not only what serving it cost.
+inline std::string live_policy_fingerprint(const fs::LiveReplayStats& s,
+                                           const fs::OrigamiFs& fsys) {
+  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t dirs = 0;
+  for (std::uint32_t shard = 0; shard < fsys.shard_count(); ++shard) {
+    for (const fs::Ino ino : fsys.dirs_owned_by(shard)) {
+      fnv_mix(h, ino);
+      fnv_mix(h, shard);
+      ++dirs;
+    }
+  }
+  std::ostringstream out;
+  out << fault_plane_fingerprint(s) << dirs << ':' << h << '\n';
   return out.str();
 }
 
