@@ -16,9 +16,8 @@ namespace origami::core {
 
 /// EWMA + patience damping shared by every trigger: feed one raw imbalance
 /// sample per epoch, and it answers whether the smoothed value has stayed
-/// over `threshold` for `patience` consecutive samples. Used by
-/// `RebalanceTrigger` and by the registered baseline policies so the
-/// smoothing semantics cannot drift between them.
+/// over `threshold` for `patience` consecutive samples. `RebalanceTrigger`
+/// wraps it, so every dynamic policy, epoch or live, smooths the same way.
 class TriggerSmoother {
  public:
   bool over(double raw, double threshold, double ewma_alpha, int patience) {
@@ -58,7 +57,14 @@ struct RebalanceTrigger {
                             int patience_in = 1)
       : threshold(threshold_in), ewma_alpha(alpha), patience(patience_in) {}
 
+  /// Busy-time imbalance of the epoch, fed through `fire`; idle epochs
+  /// (no ops executed) never fire and leave the smoothing state alone.
   bool should_rebalance(const cluster::EpochSnapshot& snap);
+  /// Feeds one raw imbalance sample; true when the smoothed value has been
+  /// over `threshold` for `patience` consecutive samples.
+  bool fire(double raw) {
+    return smoother_.over(raw, threshold, ewma_alpha, patience);
+  }
 
  private:
   TriggerSmoother smoother_;

@@ -20,8 +20,7 @@ bool RebalanceTrigger::should_rebalance(const cluster::EpochSnapshot& snap) {
     total_ops += m.ops_executed;
   }
   if (total_ops == 0) return false;
-  const double raw = cost::imbalance_factor(busy);
-  return smoother_.over(raw, threshold, ewma_alpha, patience);
+  return fire(cost::imbalance_factor(busy));
 }
 
 std::vector<cluster::MigrationDecision> MetaOptOracleBalancer::rebalance(
