@@ -118,10 +118,6 @@ class OrigamiFs {
   /// Dumps every directory's activity; with `reset`, starts a new epoch.
   [[nodiscard]] std::vector<DirActivity> collect_activity(bool reset = true);
 
-  /// Rebuilds the absolute path of a directory inode (for logging and for
-  /// feeding the Migrator).
-  [[nodiscard]] common::Result<std::string> path_of(Ino dir) const;
-
   /// Ino-addressed variant of migrate_subtree (what a balancing loop uses,
   /// since the Data Collector reports inodes, not paths).
   common::Result<std::uint64_t> migrate_subtree_ino(Ino dir,

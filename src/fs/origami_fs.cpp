@@ -466,23 +466,6 @@ std::vector<OrigamiFs::DirActivity> OrigamiFs::collect_activity(bool reset) {
   return out;
 }
 
-common::Result<std::string> OrigamiFs::path_of(Ino dir) const {
-  if (dir == kRootIno) return std::string("/");
-  std::vector<const std::string*> parts;
-  for (auto it = dirs_.find(dir); it != dirs_.end();
-       it = dirs_.find(it->second.parent)) {
-    if (it->second.parent == kInvalidIno) break;  // reached the root
-    parts.push_back(&it->second.name);
-  }
-  if (parts.empty()) return common::Status::not_found("unknown inode");
-  std::string path;
-  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-    path += '/';
-    path += **it;
-  }
-  return path;
-}
-
 std::vector<ShardStats> OrigamiFs::shard_stats() const { return stats_; }
 
 common::Status OrigamiFs::checkpoint(const std::string& prefix) const {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -12,9 +13,9 @@
 #include "origami/common/rng.hpp"
 #include "origami/core/balancers.hpp"
 #include "origami/core/features.hpp"
-#include "origami/core/live_balancer.hpp"
 #include "origami/fs/live_replay.hpp"
 #include "origami/fsns/dir_tree.hpp"
+#include "origami/policy/registry.hpp"
 #include "origami/recovery/invariants.hpp"
 #include "origami/recovery/journal.hpp"
 #include "origami/wl/generators.hpp"
@@ -711,8 +712,8 @@ TEST(RecoveryReplay, StaleEpochRequestsAreFencedAndRerouted) {
 
 // ----------------------------------------------------- live-mode recovery --
 
-/// Activity-share benefit model, trained in-test (the live balancer takes a
-/// GbdtModel, not a raw predictor).
+/// Activity-share benefit model, trained in-test (the live origami form
+/// takes a GbdtModel, not a raw predictor).
 std::shared_ptr<ml::GbdtModel> live_benefit_model() {
   ml::Dataset data(core::feature_name_vector());
   common::Xoshiro256 rng(5);
@@ -725,6 +726,44 @@ std::shared_ptr<ml::GbdtModel> live_benefit_model() {
   params.rounds = 30;
   return std::make_shared<ml::GbdtModel>(ml::GbdtModel::train(data, params));
 }
+
+/// Sabotage: the first PREPARE's destination "dies" right after PREPARE,
+/// so the commit check must roll the subtree back to its source. Every
+/// transition still reaches the engine's context.
+class DoomFirstDestination final : public fs::LiveFaultContext {
+ public:
+  DoomFirstDestination(fs::LiveFaultContext& inner, const fs::OrigamiFs& fsys,
+                       std::uint64_t& commits, std::uint64_t& aborts)
+      : inner_(inner), fsys_(fsys), commits_(commits), aborts_(aborts) {}
+
+  [[nodiscard]] bool shard_down(std::uint32_t shard) const override {
+    return shard == doomed_ || inner_.shard_down(shard);
+  }
+  void record_prepare(fs::Ino subtree, std::uint32_t from,
+                      std::uint32_t to) override {
+    inner_.record_prepare(subtree, from, to);
+    if (doomed_ == UINT32_MAX) doomed_ = to;
+  }
+  void record_commit(fs::Ino subtree, std::uint32_t from,
+                     std::uint32_t to) override {
+    ++commits_;
+    inner_.record_commit(subtree, from, to);
+  }
+  void record_abort(fs::Ino subtree, std::uint32_t from,
+                    std::uint32_t to) override {
+    ++aborts_;
+    inner_.record_abort(subtree, from, to);
+    // The rollback already ran: the subtree is home again.
+    EXPECT_EQ(fsys_.dir_shard(subtree), from);
+  }
+
+ private:
+  fs::LiveFaultContext& inner_;
+  const fs::OrigamiFs& fsys_;
+  std::uint64_t& commits_;
+  std::uint64_t& aborts_;
+  std::uint32_t doomed_ = UINT32_MAX;
+};
 
 TEST(LiveRecovery, TwoPhaseAbortRollsBackAndPairsPhases) {
   wl::TraceRwConfig cfg;
@@ -740,7 +779,12 @@ TEST(LiveRecovery, TwoPhaseAbortRollsBackAndPairsPhases) {
   fopt.shards = 3;
   fs::OrigamiFs fsys(fopt);
 
-  const auto model = live_benefit_model();
+  policy::PolicyContext pctx;
+  pctx.benefit_model = live_benefit_model();
+  auto made = policy::Registry::builtin().make_live(
+      "origami:min-ops=16,min-benefit=0", pctx);
+  ASSERT_TRUE(made.is_ok()) << made.status().to_string();
+  const auto live = std::move(made).value();
   std::uint64_t aborts_seen = 0;
   std::uint64_t commits_seen = 0;
 
@@ -752,34 +796,10 @@ TEST(LiveRecovery, TwoPhaseAbortRollsBackAndPairsPhases) {
   opt.faults.scheduled.push_back(
       {0, sim::seconds(10'000), sim::seconds(10'001), fault::FaultKind::kCrash,
        1.0});
-  opt.on_epoch = [&](fs::OrigamiFs& f,
-                     fs::LiveFaultContext& ctx) -> std::uint64_t {
-    core::LiveOrigamiBalancer::Params p;
-    p.min_subtree_ops = 16;
-    p.min_predicted_benefit = 0.0;
-    // Sabotage: the first move's destination "dies" right after PREPARE,
-    // forcing the commit check to roll the subtree back to its source.
-    auto doomed = std::make_shared<std::uint32_t>(UINT32_MAX);
-    p.shard_down = [doomed, &ctx](std::uint32_t s) {
-      return s == *doomed || ctx.shard_down(s);
-    };
-    p.on_phase = [&, doomed](core::MigrationPhase ph,
-                             const core::LiveOrigamiBalancer::Move& m) {
-      if (ph == core::MigrationPhase::kPrepare) {
-        ctx.record_prepare(m.subtree, m.from, m.to);
-        if (*doomed == UINT32_MAX) *doomed = m.to;
-      } else if (ph == core::MigrationPhase::kCommit) {
-        ++commits_seen;
-        ctx.record_commit(m.subtree, m.from, m.to);
-      } else {
-        ++aborts_seen;
-        ctx.record_abort(m.subtree, m.from, m.to);
-        // The rollback already ran: the subtree is home again.
-        EXPECT_EQ(f.dir_shard(m.subtree), m.from);
-      }
-    };
-    core::LiveOrigamiBalancer balancer(model, p);
-    return balancer.rebalance_epoch(f).size();
+  opt.on_epoch = [&](fs::OrigamiFs& f, fs::LiveFaultContext& ctx) {
+    // A fresh saboteur per epoch: each epoch's first move is doomed.
+    DoomFirstDestination doomed(ctx, f, commits_seen, aborts_seen);
+    return live->on_epoch(f, doomed);
   };
 
   const auto stats = fs::replay_on_live(trace, fsys, opt);
