@@ -1,9 +1,10 @@
 // Tests for the policy registry (policy/registry.hpp): spec parsing,
 // strict validation, the catalogue, construct-from-spec round trips, the
 // golden byte-identity contract (registry-constructed legacy balancers
-// replay bit-identically to historical direct constructions), the live
-// forms (policy/live.hpp: byte-identity goldens, and every PREPARE naming
-// the subtree's current owner), observer hook ordering, and the shared
+// replay bit-identically to historical direct constructions), the
+// model-driven epoch policies' byte-identity goldens, the live forms
+// (policy/live.hpp: byte-identity goldens, and every PREPARE naming the
+// subtree's current owner), observer hook ordering, and the shared
 // TriggerSmoother.
 #include <gtest/gtest.h>
 
@@ -21,12 +22,14 @@
 #include "origami/policy/registry.hpp"
 #include "origami/wl/generators.hpp"
 
+#include "support/epoch_policy_golden_configs.hpp"
 #include "support/live_policy_golden_configs.hpp"
 
 namespace origami {
 namespace {
 
 // Captured by tools/goldens.cpp; regenerate only with it and audit the diff.
+#include "support/epoch_policy_goldens.inc"
 #include "support/live_policy_goldens.inc"
 
 using cluster::ReplayOptions;
@@ -464,6 +467,54 @@ TEST(LivePolicy, EveryPrepareNamesTheSubtreesCurrentOwner) {
     }
   }
 }
+
+// ------------------------------------------------ epoch-policy goldens --
+// The model-driven epoch policies pinned byte for byte, clean and faulted,
+// together with the fit behind their models, on the configs in
+// tests/support/epoch_policy_golden_configs.hpp.
+
+const EpochPolicyGolden* find_epoch_policy_golden(const std::string& key) {
+  for (const EpochPolicyGolden& g : kEpochPolicyGoldens) {
+    if (key == g.key) return &g;
+  }
+  return nullptr;
+}
+
+void expect_epoch_policy_goldens(const std::string& key) {
+  for (const testing::EpochPolicyGoldenSpec& p :
+       testing::kEpochPolicyGoldenSpecs) {
+    if (key != p.key) continue;
+    for (std::uint64_t seed : {1, 2, 3}) {
+      for (const bool faulted : {false, true}) {
+        const std::string golden_key = key + "/" + std::to_string(seed) +
+                                       (faulted ? "/faulted" : "/clean");
+        const EpochPolicyGolden* golden = find_epoch_policy_golden(golden_key);
+        ASSERT_NE(golden, nullptr) << "no golden for " << golden_key;
+        EXPECT_EQ(testing::epoch_policy_run(p.spec, seed, faulted),
+                  golden->fp)
+            << golden_key;
+      }
+    }
+    return;
+  }
+  ADD_FAILURE() << "no epoch-policy golden spec for " << key;
+}
+
+TEST(EpochPolicyGolden, TrainedModels) {
+  const core::TrainedModels& models = testing::epoch_policy_models();
+  for (const auto& [key, model] :
+       {std::pair{"model/benefit", models.benefit.get()},
+        std::pair{"model/popularity", models.popularity.get()}}) {
+    const EpochPolicyGolden* golden = find_epoch_policy_golden(key);
+    ASSERT_NE(golden, nullptr) << "no golden for " << key;
+    EXPECT_EQ(testing::model_fingerprint(*model), golden->fp) << key;
+  }
+}
+TEST(EpochPolicyGolden, Origami) { expect_epoch_policy_goldens("origami"); }
+TEST(EpochPolicyGolden, OrigamiCapped) {
+  expect_epoch_policy_goldens("origami-capped");
+}
+TEST(EpochPolicyGolden, MlTree) { expect_epoch_policy_goldens("ml-tree"); }
 
 // ------------------------------------------------- live-policy goldens --
 // Every migrating live form pinned byte for byte, clean and faulted, on

@@ -4,6 +4,7 @@
 //   ./build/tools/goldens arrival     > tests/support/arrival_goldens.inc
 //   ./build/tools/goldens fault-plane > tests/support/fault_plane_goldens.inc
 //   ./build/tools/goldens live-policy > tests/support/live_policy_goldens.inc
+//   ./build/tools/goldens epoch-policy > tests/support/epoch_policy_goldens.inc
 //
 // The families' configs live beside them in
 // tests/support/<family>_golden_configs.hpp. Re-base a family only after an
@@ -19,6 +20,7 @@
 #include "origami/policy/registry.hpp"
 
 #include "../tests/support/arrival_golden_configs.hpp"
+#include "../tests/support/epoch_policy_golden_configs.hpp"
 #include "../tests/support/fault_plane_golden_configs.hpp"
 #include "../tests/support/fingerprints.hpp"
 #include "../tests/support/live_policy_golden_configs.hpp"
@@ -112,6 +114,24 @@ void live_policy() {
   }
 }
 
+void epoch_policy() {
+  begin("epoch-policy", "epoch_policy_goldens.inc", "EpochPolicyGolden",
+        "kEpochPolicyGoldens");
+  const core::TrainedModels& models = testing::epoch_policy_models();
+  emit("model/benefit", testing::model_fingerprint(*models.benefit));
+  emit("model/popularity", testing::model_fingerprint(*models.popularity));
+  for (const testing::EpochPolicyGoldenSpec& p :
+       testing::kEpochPolicyGoldenSpecs) {
+    for (std::uint64_t seed : {1, 2, 3}) {
+      for (const bool faulted : {false, true}) {
+        emit(std::string(p.key) + "/" + std::to_string(seed) +
+                 (faulted ? "/faulted" : "/clean"),
+             testing::epoch_policy_run(p.spec, seed, faulted));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,9 +143,12 @@ int main(int argc, char** argv) {
       fault_plane();
     } else if (family == "live-policy") {
       live_policy();
+    } else if (family == "epoch-policy") {
+      epoch_policy();
     } else {
       std::fprintf(stderr,
-                   "usage: %s arrival|fault-plane|live-policy > <family>.inc\n",
+                   "usage: %s arrival|fault-plane|live-policy|epoch-policy"
+                   " > <family>.inc\n",
                    argv[0]);
       return 2;
     }
