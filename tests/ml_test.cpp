@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "origami/common/rng.hpp"
@@ -149,6 +150,47 @@ TEST(Gbdt, EarlyStoppingShortensTraining) {
   // The step function converges almost immediately; early stopping must
   // cut far below the 400-round budget.
   EXPECT_LT(model.num_trees(), 100);
+}
+
+TEST(Gbdt, EarlyStoppingStopsWhereFullRepredictionWould) {
+  const Dataset data = make_linear_data(600, 21, 0.5);
+  auto [train, valid] = data.split(0.8, 3);
+  GbdtParams params;
+  params.rounds = 60;
+  params.learning_rate = 0.3;
+  params.bagging_fraction = 0.8;
+  params.early_stopping_rounds = 5;
+  auto saved = [](const GbdtModel& m) {
+    std::ostringstream out;
+    m.save(out);
+    return out.str();
+  };
+  auto trained_without_valid = [&](int rounds) {
+    GbdtParams p = params;
+    p.rounds = rounds;
+    return GbdtModel::train(train, p);
+  };
+  // Reference: the validation RMSE after r rounds, from a model re-predicted
+  // from scratch, fed through the trainer's stopping rule.
+  int expected = params.rounds;
+  double best = std::numeric_limits<double>::infinity();
+  int since_best = 0;
+  for (int r = 1; r <= params.rounds; ++r) {
+    const double v =
+        rmse(trained_without_valid(r).predict_batch(valid), valid.labels());
+    if (v + 1e-12 < best) {
+      best = v;
+      since_best = 0;
+    } else if (++since_best >= params.early_stopping_rounds) {
+      expected = r;
+      break;
+    }
+  }
+  ASSERT_LT(expected, params.rounds) << "the reference never stops early";
+
+  const GbdtModel stopped = GbdtModel::train(train, params, &valid);
+  EXPECT_EQ(stopped.num_trees(), expected);
+  EXPECT_EQ(saved(stopped), saved(trained_without_valid(expected)));
 }
 
 TEST(Gbdt, LevelWiseAlsoLearns) {
