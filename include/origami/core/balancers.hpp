@@ -100,9 +100,11 @@ class MetaOptOracleBalancer final : public cluster::Balancer {
   LabelSink on_labels_;
 };
 
-/// Any regressor usable as Origami's benefit model (GBDT, MLP, ridge, or a
+/// Any regressor usable as Origami's benefit model (GBDT, MLP, or a
 /// hand-written heuristic): Table-1 features in, predicted JCT benefit
-/// (seconds) out.
+/// (seconds) out. It must be a pure function of its features:
+/// `OrigamiBalancer` prices each candidate once per rebalance and reuses
+/// the price on every later attempt of the call.
 using BenefitPredictor = std::function<double(std::span<const float>)>;
 
 /// Origami's online policy (§4.2): a trained regressor predicts each
