@@ -38,6 +38,16 @@ echo "all public headers compile standalone"
 
 run_config release -DCMAKE_BUILD_TYPE=Release
 
+# Every committed golden must regenerate byte for byte from its generator,
+# so no .inc can drift from the configs beside it.
+echo "=== [release] goldens regenerate from tools/goldens ==="
+for family in arrival fault-plane live-policy epoch-policy; do
+  "${BUILD_ROOT}/release/tools/goldens" "${family}" |
+    diff - "${ROOT}/tests/support/${family//-/_}_goldens.inc" ||
+    { echo "${family} goldens differ from their generator"; exit 1; }
+done
+echo "every golden family regenerates byte for byte"
+
 # Smoke-run the pipeline scaling bench from the release build: exercises the
 # parallel analysis plane end-to-end, verifies thread-count determinism and
 # keeps the BENCH_pipeline.json schema alive.
