@@ -130,7 +130,12 @@ TEST(MpmcQueue, ContendedPopTryPopCloseSweep) {
     }
   });
 
+  // Close mid-stream, but never before the first push lands: on a loaded
+  // host the producers may not have run at all within the head start.
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  while (accepted.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   q.close();
   for (int t = 0; t < kProducers; ++t) threads[t].join();
   producers_done.store(true, std::memory_order_release);
