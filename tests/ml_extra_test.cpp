@@ -1,16 +1,13 @@
-// Tests for the ML extensions: linear (ridge) model, k-fold cross
-// validation, ranking metrics, and MLP serialisation.
+// Tests for the ML extensions: ranking metrics and MLP serialisation.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <sstream>
+#include <vector>
 
 #include "origami/common/rng.hpp"
-#include "origami/ml/gbdt.hpp"
-#include "origami/ml/linear.hpp"
+#include "origami/ml/dataset.hpp"
 #include "origami/ml/metrics.hpp"
 #include "origami/ml/mlp.hpp"
-#include "origami/ml/validation.hpp"
 
 namespace origami::ml {
 namespace {
@@ -25,95 +22,6 @@ Dataset linear_data(std::size_t n, std::uint64_t seed, double noise = 0.0) {
                                          noise * rng.normal()));
   }
   return data;
-}
-
-// ------------------------------------------------------------ LinearModel --
-
-TEST(LinearModel, RecoversExactLinearRelation) {
-  const Dataset data = linear_data(500, 1);
-  const LinearModel model = LinearModel::train(data);
-  ASSERT_EQ(model.weights().size(), 3u);
-  EXPECT_NEAR(model.weights()[0], 2.0, 0.02);
-  EXPECT_NEAR(model.weights()[1], -1.0, 0.02);
-  EXPECT_NEAR(model.weights()[2], 0.0, 0.02);
-  EXPECT_NEAR(model.intercept(), 0.5, 0.02);
-  const auto pred = model.predict_batch(data);
-  EXPECT_LT(rmse(pred, data.labels()), 0.02);
-}
-
-TEST(LinearModel, NoisyDataStillCloses) {
-  const Dataset data = linear_data(4000, 2, 0.1);
-  const LinearModel model = LinearModel::train(data);
-  const auto pred = model.predict_batch(data);
-  EXPECT_GT(r2(pred, data.labels()), 0.9);
-}
-
-TEST(LinearModel, RegularisationShrinksWeights) {
-  const Dataset data = linear_data(200, 3, 0.05);
-  LinearModel::Params heavy;
-  heavy.l2 = 1e4;
-  const LinearModel shrunk = LinearModel::train(data, heavy);
-  const LinearModel free = LinearModel::train(data);
-  EXPECT_LT(std::abs(shrunk.weights()[0]), std::abs(free.weights()[0]));
-}
-
-TEST(LinearModel, EmptyDataset) {
-  Dataset empty({"a"});
-  const LinearModel model = LinearModel::train(empty);
-  EXPECT_DOUBLE_EQ(model.predict(std::array<float, 1>{1.f}), 0.0);
-}
-
-// --------------------------------------------------------- cross_validate --
-
-TEST(CrossValidate, LinearFitsLinearData) {
-  const Dataset data = linear_data(600, 4, 0.05);
-  const CvResult cv = cross_validate(data, 5, 7, [](const Dataset& train) {
-    auto model = std::make_shared<LinearModel>(LinearModel::train(train));
-    return Predictor([model](std::span<const float> x) {
-      return model->predict(x);
-    });
-  });
-  ASSERT_EQ(cv.fold_rmse.size(), 5u);
-  EXPECT_NEAR(cv.mean_rmse, 0.05, 0.02);
-  EXPECT_GT(cv.mean_spearman, 0.9);
-  for (double r : cv.fold_rmse) EXPECT_LT(r, 0.1);
-}
-
-TEST(CrossValidate, GbdtHookWorks) {
-  const Dataset data = linear_data(800, 5, 0.05);
-  GbdtParams params;
-  params.rounds = 60;
-  const CvResult cv =
-      cross_validate(data, 3, 11, [&params](const Dataset& train) {
-        auto model =
-            std::make_shared<GbdtModel>(GbdtModel::train(train, params));
-        return Predictor([model](std::span<const float> x) {
-          return model->predict(x);
-        });
-      });
-  EXPECT_LT(cv.mean_rmse, 0.25);
-}
-
-TEST(CrossValidate, DeterministicBySeed) {
-  const Dataset data = linear_data(300, 6, 0.1);
-  auto trainer = [](const Dataset& train) {
-    auto model = std::make_shared<LinearModel>(LinearModel::train(train));
-    return Predictor([model](std::span<const float> x) {
-      return model->predict(x);
-    });
-  };
-  const CvResult a = cross_validate(data, 4, 9, trainer);
-  const CvResult b = cross_validate(data, 4, 9, trainer);
-  EXPECT_EQ(a.fold_rmse, b.fold_rmse);
-}
-
-TEST(CrossValidate, TooFewRowsIsEmpty) {
-  Dataset tiny({"x"});
-  tiny.add_row(std::array<float, 1>{1.f}, 1.f);
-  const CvResult cv = cross_validate(tiny, 5, 1, [](const Dataset&) {
-    return Predictor([](std::span<const float>) { return 0.0; });
-  });
-  EXPECT_TRUE(cv.fold_rmse.empty());
 }
 
 // --------------------------------------------------------- ranking metrics --
