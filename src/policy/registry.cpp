@@ -1,5 +1,6 @@
 #include "origami/policy/registry.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -438,6 +439,15 @@ common::Status check_spec(const Registry& r, const PolicySpec& spec,
       return common::Status::invalid_argument(
           "policy '" + spec.name + "' has no parameter '" + key + "'" +
           (keys.empty() ? " (it takes none)" : " (it takes: " + keys + ")"));
+    }
+    // Every declared parameter is numeric, and ParamMap's getters would
+    // read "abc" as 0 and "0.1x" as 0.1.
+    char* end = nullptr;
+    const double parsed = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || !std::isfinite(parsed)) {
+      return common::Status::invalid_argument(
+          "policy '" + spec.name + "' parameter '" + key + "' has value '" +
+          value + "' (expected a finite number)");
     }
   }
   if (out != nullptr) *out = entry;

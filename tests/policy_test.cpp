@@ -120,6 +120,23 @@ TEST(PolicyRegistry, UnknownParamListsValidKeys) {
   EXPECT_NE(s.to_string().find("min-benefit"), std::string::npos);
 }
 
+TEST(PolicyRegistry, RejectsValuesThatAreNotFiniteNumbers) {
+  const Registry& r = Registry::builtin();
+  for (const char* spec :
+       {"greedy-spill:budget=abc", "origami:trigger=0.1x", "origami:budget=",
+        "origami:trigger=nan", "load-frac:alpha=inf"}) {
+    const auto s = r.validate(spec);
+    ASSERT_FALSE(s.is_ok()) << spec;
+    EXPECT_NE(s.to_string().find("expected a finite number"),
+              std::string::npos)
+        << spec;
+    policy::PolicyContext ctx;
+    EXPECT_FALSE(r.make(spec, ctx).is_ok()) << spec;
+  }
+  EXPECT_FALSE(r.make_live("greedy-spill:budget=abc", {}).is_ok());
+  EXPECT_TRUE(r.validate("origami:trigger=1e-1,budget=8").is_ok());
+}
+
 TEST(PolicyRegistry, EveryEntryValidatesBareAndWithDeclaredParams) {
   const Registry& r = Registry::builtin();
   EXPECT_GE(r.entries().size(), 10u);
