@@ -2,10 +2,12 @@
 // Zipf/alias sampling, hashing, histograms, CSV, thread pool, MPMC queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -378,6 +380,94 @@ TEST(Csv, WritesEscapedRows) {
   std::getline(in, line);
   EXPECT_EQ(line, "\"has\"\"quote\",7");
   std::remove(path.c_str());
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string host_json() {
+  return "{\"cores\": " +
+         std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
+         "}";
+}
+
+TEST(Report, HoldsTheCsvRowsUnderFourKeys) {
+  const std::string csv_path = ::testing::TempDir() + "/origami_report.csv";
+  const std::string json_path = ::testing::TempDir() + "/origami_report.json";
+  CsvWriter w(csv_path);
+  ASSERT_TRUE(w.is_open());
+  w.header({"policy", "throughput_ops", "migrations"});
+  w.field("c-hash").field(123456.789012345).field(std::uint64_t{7}).endrow();
+  w.field("origami").field(1.0 / 3.0).field(-2).endrow();
+  ASSERT_TRUE(w.close().is_ok());
+  ASSERT_TRUE(
+      write_report(json_path, "faceoff", {{"ops", 25'000}, {"smoke", true}}, w)
+          .is_ok());
+
+  EXPECT_EQ(slurp(csv_path),
+            "policy,throughput_ops,migrations\n"
+            "c-hash,123456.789,7\n"
+            "origami,0.3333333333,-2\n");
+  EXPECT_EQ(slurp(json_path),
+            "{\n"
+            "  \"bench\": \"faceoff\",\n"
+            "  \"config\": {\"ops\": 25000, \"smoke\": true},\n"
+            "  \"host\": " + host_json() + ",\n"
+            "  \"results\": [\n"
+            "    {\"policy\": \"c-hash\", \"throughput_ops\": 123456.789, "
+            "\"migrations\": 7},\n"
+            "    {\"policy\": \"origami\", \"throughput_ops\": 0.3333333333, "
+            "\"migrations\": -2}\n"
+            "  ]\n"
+            "}\n");
+  std::remove(csv_path.c_str());
+  std::remove(json_path.c_str());
+}
+
+TEST(Report, EscapesStringsAndWritesNonFiniteAsNull) {
+  const std::string json_path = ::testing::TempDir() + "/origami_escape.json";
+  CsvWriter rows;  // no CSV file: the rows go only into the report
+  rows.header({"name", "nan", "inf", "ninf"});
+  rows.field("say \"hi\"\\ now\nthen\t")
+      .field(std::nan(""))
+      .field(HUGE_VAL)
+      .field(-HUGE_VAL)
+      .endrow();
+  EXPECT_EQ(rows.rows()[0][1].text, "nan");
+  EXPECT_EQ(rows.rows()[0][2].text, "inf");
+  ASSERT_TRUE(write_report(json_path, "esc", {{"dir", "a\\b"}}, rows).is_ok());
+  EXPECT_EQ(slurp(json_path),
+            "{\n"
+            "  \"bench\": \"esc\",\n"
+            "  \"config\": {\"dir\": \"a\\\\b\"},\n"
+            "  \"host\": " + host_json() + ",\n"
+            "  \"results\": [\n"
+            "    {\"name\": \"say \\\"hi\\\"\\\\ now\\nthen\\u0009\", "
+            "\"nan\": null, \"inf\": null, \"ninf\": null}\n"
+            "  ]\n"
+            "}\n");
+  std::remove(json_path.c_str());
+}
+
+TEST(Report, UnwritableOutputIsAnError) {
+  const std::string missing = ::testing::TempDir() + "/no-such-dir/x";
+  CsvWriter csv(missing + ".csv");
+  EXPECT_FALSE(csv.is_open());
+  CsvWriter rows;
+  rows.header({"a"});
+  rows.field(1).endrow();
+  const Status s = write_report(missing + ".json", "x", {}, rows);
+  ASSERT_FALSE(s.is_ok());
+  EXPECT_NE(s.message().find(missing + ".json"), std::string::npos);
+
+  // A row narrower than the header has no well-formed report either.
+  rows.field(2).field(3).endrow();
+  EXPECT_FALSE(
+      write_report(::testing::TempDir() + "/origami_ragged.json", "x", {},
+                   rows)
+          .is_ok());
 }
 
 // ----------------------------------------------------------- Thread pool --
