@@ -21,7 +21,7 @@ int main() {
     ++dirs_at_depth[std::min<std::uint32_t>(31, trace.tree.depth(d))];
   }
 
-  common::CsvWriter csv(bench::csv_path("ablation_cache_depth", "sweep"));
+  common::CsvWriter csv = bench::open_csv("ablation_cache_depth", "sweep");
   csv.header({"depth", "cached_namespace_pct", "throughput_ops",
               "rpc_per_req", "stale_hits"});
 
@@ -61,5 +61,6 @@ int main() {
   std::printf("\nexpected: a small threshold already removes the near-root "
               "hotspot (the paper's\n<1%% claim); returns diminish quickly "
               "beyond that.\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -15,7 +15,7 @@ int main() {
   const wl::Trace trace = bench::standard_rw(/*seed=*/1);
   const cluster::ReplayOptions opt = bench::paper_options();
 
-  common::CsvWriter csv(bench::csv_path("ablation_delta", "sweep"));
+  common::CsvWriter csv = bench::open_csv("ablation_delta", "sweep");
   csv.header({"delta_ms", "throughput_ops", "migrations", "if_busy",
               "rpc_per_req"});
 
@@ -43,5 +43,6 @@ int main() {
 
   std::printf("\nexpected: a broad plateau at moderate Δ; degradation at "
               "the extremes.\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -16,7 +16,7 @@ int main() {
   std::printf("=== Ablation — epoch length on Trace-WI ===\n\n");
   const wl::Trace trace = bench::standard_wi(/*seed=*/1);
 
-  common::CsvWriter csv(bench::csv_path("ablation_epoch", "sweep"));
+  common::CsvWriter csv = bench::open_csv("ablation_epoch", "sweep");
   csv.header({"epoch_ms", "throughput_ops", "migrations", "if_busy"});
 
   std::printf("%-10s %14s %12s %8s\n", "epoch", "ops/s", "migrations",
@@ -45,5 +45,6 @@ int main() {
 
   std::printf("\nexpected: mid-range epochs win; very long epochs cannot "
               "track the drifting\nhot tenants of Trace-WI.\n");
+  bench::close_csv(csv);
   return 0;
 }

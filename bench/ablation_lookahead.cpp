@@ -14,7 +14,7 @@ int main() {
   std::printf("=== Ablation — Meta-OPT lookahead window (Trace-RW) ===\n\n");
   const wl::Trace trace = bench::standard_rw(/*seed=*/1);
 
-  common::CsvWriter csv(bench::csv_path("ablation_lookahead", "sweep"));
+  common::CsvWriter csv = bench::open_csv("ablation_lookahead", "sweep");
   csv.header({"lookahead_ops", "throughput_ops", "migrations"});
 
   std::printf("%-14s %14s %12s\n", "lookahead", "ops/s", "migrations");
@@ -33,5 +33,6 @@ int main() {
 
   std::printf("\nexpected: throughput rises with foresight and saturates "
               "once the window covers\na hotspot dwell period.\n");
+  bench::close_csv(csv);
   return 0;
 }

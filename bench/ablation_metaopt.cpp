@@ -63,7 +63,7 @@ int main() {
   common::Xoshiro256 rng(2024);
 
   // ---- (1) sub-optimality gap on exhaustively-solvable instances --------
-  common::CsvWriter csv(bench::csv_path("ablation_metaopt", "gap"));
+  common::CsvWriter csv = bench::open_csv("ablation_metaopt", "gap");
   csv.header({"instance", "jct_base_ms", "jct_greedy_ms", "jct_optimal_ms",
               "gap_pct"});
   double worst_gap = 0.0;
@@ -113,7 +113,7 @@ int main() {
   // ---- (2) search-cost scaling ------------------------------------------
   std::printf("(2) Algorithm-1 wall time vs candidate-pool size "
               "(5 MDSs, 60k-op window):\n");
-  common::CsvWriter scale(bench::csv_path("ablation_metaopt", "scaling"));
+  common::CsvWriter scale = bench::open_csv("ablation_metaopt", "scaling");
   scale.header({"candidates", "millis"});
   const wl::Trace trace = bench::standard_rw(1, 60'000);
   mds::PartitionMap map(trace.tree, 5);
@@ -134,5 +134,7 @@ int main() {
   std::printf("\nexpected: near-zero optimality gap on separable instances; "
               "sub-second searches\neven at the full candidate pool (the "
               "\"quickly explore\" claim of the abstract).\n");
+  bench::close_csv(csv);
+  bench::close_csv(scale);
   return 0;
 }

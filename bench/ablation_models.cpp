@@ -116,7 +116,7 @@ int main() {
        &p_mlp},
   };
 
-  common::CsvWriter csv(bench::csv_path("ablation_models", "results"));
+  common::CsvWriter csv = bench::open_csv("ablation_models", "results");
   csv.header({"model", "rmse", "spearman", "throughput_ops"});
   std::printf("\nend-to-end throughput with each model serving online:\n");
   for (const Served& sv : served) {
@@ -136,5 +136,6 @@ int main() {
   std::printf("\npaper shape: accuracies differ slightly; decisions and "
               "end-to-end results nearly\nidentical -> deploy the cheapest "
               "model (LightGBM-style).\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -17,7 +17,7 @@ int main() {
   std::printf("=== Ablation — per-RPC handling cost (Trace-RW, 5 MDS) ===\n\n");
   const wl::Trace trace = bench::standard_rw(/*seed=*/1);
 
-  common::CsvWriter csv(bench::csv_path("ablation_rpc_cost", "sweep"));
+  common::CsvWriter csv = bench::open_csv("ablation_rpc_cost", "sweep");
   csv.header({"t_rpc_us", "strategy", "throughput_ops"});
 
   std::printf("%-10s %12s %12s %12s %12s\n", "t_rpc", "single", "c-hash",
@@ -44,5 +44,6 @@ int main() {
               "from ~25 us upward origami leads because its\nRPC/request "
               "stays near 1 while the hash baselines burn capacity on "
               "forwarding.\n");
+  bench::close_csv(csv);
   return 0;
 }

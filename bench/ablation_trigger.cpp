@@ -31,7 +31,7 @@ int main() {
   const wl::Trace trace = bench::standard_wi(/*seed=*/1);
   const cluster::ReplayOptions opt = bench::paper_options();
 
-  common::CsvWriter csv(bench::csv_path("ablation_trigger", "sweep"));
+  common::CsvWriter csv = bench::open_csv("ablation_trigger", "sweep");
   csv.header({"variant", "threshold", "throughput_ops", "migrations"});
 
   std::printf("%-22s %10s %14s %12s\n", "variant", "threshold", "ops/s",
@@ -63,5 +63,6 @@ int main() {
   std::printf("\nexpected: a broad sweet spot at small-but-nonzero "
               "thresholds; smoothing trades a\nlittle reaction speed for "
               "fewer churn migrations at sensitive thresholds.\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -41,7 +41,7 @@ int main() {
   const auto models =
       bench::train_for(bench::standard_rw(99), bench::paper_options());
 
-  common::CsvWriter csv(bench::csv_path("appendix_live", "results"));
+  common::CsvWriter csv = bench::open_csv("appendix_live", "results");
   csv.header({"mode", "executed", "failed", "migrations", "imbalance"});
 
   // Unbalanced: everything stays on shard 0.
@@ -80,5 +80,6 @@ int main() {
   std::printf("\nexpected: the unbalanced run serves everything from shard 0 "
               "(imbalance 1.0);\nthe simulator-trained model transfers to the "
               "live service and spreads the\nreal dirent traffic.\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -28,7 +28,7 @@ int main() {
   const auto models =
       bench::train_for(wl::make_trace_mdtest({99, 64, 400, 2}), opt);
 
-  common::CsvWriter csv(bench::csv_path("appendix_mdtest", "results"));
+  common::CsvWriter csv = bench::open_csv("appendix_mdtest", "results");
   csv.header({"strategy", "throughput_ops", "rpc_per_req", "imf_busy"});
 
   std::printf("%-10s %14s %9s %9s\n", "strategy", "ops/s", "RPC/req",
@@ -50,5 +50,6 @@ int main() {
               "converge here) spreads the\n64 rank dirs perfectly; c-hash "
               "is limited only by hash collisions among them;\nf-hash pays "
               "coordination on the create/unlink phases (67%% writes).\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -33,7 +33,7 @@ int main() {
   const wl::Trace train = wl::interleave_traces({&t_rw, &t_ro, &t_wi}, 31);
   const auto models = bench::train_for(train, opt);
 
-  common::CsvWriter csv(bench::csv_path("appendix_mixed", "results"));
+  common::CsvWriter csv = bench::open_csv("appendix_mixed", "results");
   csv.header({"strategy", "throughput_ops", "rpc_per_req", "imf_busy"});
 
   std::printf("%-10s %14s %9s %9s\n", "strategy", "ops/s", "RPC/req",
@@ -65,5 +65,6 @@ int main() {
               "hashing of the twelve\ntop-level trees is already strong; "
               "origami matches it while keeping RPC/request\nnear 1 and "
               "without any per-tenant anchoring configuration.\n");
+  bench::close_csv(csv);
   return 0;
 }

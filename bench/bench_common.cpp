@@ -104,8 +104,33 @@ cluster::RunResult run_latency_probe(const wl::Trace& trace,
   return cluster::replay_trace(trace, opt, balancer);
 }
 
-std::string csv_path(const std::string& bench, const std::string& name) {
-  return bench + "_" + name + ".csv";
+namespace {
+
+void exit_unless_written(const common::Status& s) {
+  if (s.is_ok()) return;
+  std::fprintf(stderr, "error: %s\n", s.to_string().c_str());
+  std::exit(1);
+}
+
+}  // namespace
+
+common::CsvWriter open_csv(const std::string& bench, const std::string& name) {
+  common::CsvWriter csv(bench + "_" + name + ".csv");
+  if (!csv.is_open()) {
+    exit_unless_written(
+        common::Status::unavailable("cannot open " + csv.path()));
+  }
+  return csv;
+}
+
+void close_csv(common::CsvWriter& csv) { exit_unless_written(csv.close()); }
+
+void write_report(const std::string& path, std::string_view bench,
+                  const std::vector<std::pair<std::string, common::Cell>>&
+                      config,
+                  common::CsvWriter& results) {
+  close_csv(results);
+  exit_unless_written(common::write_report(path, bench, config, results));
 }
 
 }  // namespace origami::bench

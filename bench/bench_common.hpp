@@ -6,9 +6,12 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "origami/cluster/replay.hpp"
+#include "origami/common/csv.hpp"
 #include "origami/core/balancers.hpp"
 #include "origami/core/pipeline.hpp"
 #include "origami/wl/generators.hpp"
@@ -61,7 +64,19 @@ cluster::RunResult run_latency_probe(const wl::Trace& trace,
                                      const cluster::ReplayOptions& options,
                                      const cluster::RunResult& converged);
 
-/// Convenience: directory-local CSV path ("<bench>_<name>.csv").
-std::string csv_path(const std::string& bench, const std::string& name);
+/// Every bench output goes through these three: each exits 1, naming the
+/// path, when the file cannot be written.
+///
+/// Opens "<bench>_<name>.csv" in the working directory.
+common::CsvWriter open_csv(const std::string& bench, const std::string& name);
+/// Closes a CSV from `open_csv`, checking that every row landed.
+void close_csv(common::CsvWriter& csv);
+/// Closes `results` and writes its rows as the JSON report at `path`
+/// (common::write_report). Call it only once every gate of the bench has
+/// passed.
+void write_report(const std::string& path, std::string_view bench,
+                  const std::vector<std::pair<std::string, common::Cell>>&
+                      config,
+                  common::CsvWriter& results);
 
 }  // namespace origami::bench

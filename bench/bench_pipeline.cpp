@@ -4,8 +4,8 @@
 // (evaluate_window), the Meta-OPT greedy search (MetaOpt::optimize) and
 // §4.3 train-data generation (generate_labels) — at 1/2/4/8 analysis
 // threads on one generated trace, verifies that every thread count
-// reproduces the single-threaded result bit-for-bit, and writes
-// BENCH_pipeline.json.
+// reproduces the single-threaded result bit-for-bit, and then writes
+// BENCH_pipeline.json (no CSV beside it).
 //
 //   bench_pipeline                 # 500k-op trace, threads 1/2/4/8
 //   bench_pipeline --smoke         # CI mode: small trace, threads 1/2
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "origami/common/csv.hpp"
 #include "origami/common/flags.hpp"
 #include "origami/common/thread_pool.hpp"
 #include "origami/core/meta_opt.hpp"
@@ -151,44 +152,31 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;
   for (const Sample& s : samples) all_identical &= s.identical_to_t1;
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"bench\": \"pipeline\",\n  \"ops\": %llu,\n"
-               "  \"train_ops\": %llu,\n  \"mds\": %u,\n  \"smoke\": %s,\n"
-               "  \"host_cores\": %u,\n"
-               "  \"deterministic\": %s,\n  \"results\": [\n",
-               static_cast<unsigned long long>(ops),
-               static_cast<unsigned long long>(train_ops), mds,
-               smoke ? "true" : "false", cores,
-               all_identical ? "true" : "false");
-  const Sample& base = samples.front();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    std::fprintf(
-        out,
-        "    {\"threads\": %zu, \"window_analysis_ms\": %.3f, "
-        "\"meta_opt_ms\": %.3f, \"train_data_ms\": %.3f, "
-        "\"window_speedup\": %.3f, \"meta_opt_speedup\": %.3f, "
-        "\"identical_to_t1\": %s}%s\n",
-        s.threads, s.window_ms, s.meta_opt_ms, s.train_ms,
-        s.window_ms > 0 ? base.window_ms / s.window_ms : 0.0,
-        s.meta_opt_ms > 0 ? base.meta_opt_ms / s.meta_opt_ms : 0.0,
-        s.identical_to_t1 ? "true" : "false",
-        i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
-
   if (!all_identical) {
     std::fprintf(stderr,
                  "error: multi-threaded outputs differ from --threads 1\n");
     return 1;
   }
+
+  common::CsvWriter results;
+  results.header({"threads", "window_analysis_ms", "meta_opt_ms",
+                  "train_data_ms", "window_speedup", "meta_opt_speedup"});
+  const Sample& base = samples.front();
+  for (const Sample& s : samples) {
+    results.field(s.threads)
+        .field(s.window_ms)
+        .field(s.meta_opt_ms)
+        .field(s.train_ms)
+        .field(s.window_ms > 0 ? base.window_ms / s.window_ms : 0.0)
+        .field(s.meta_opt_ms > 0 ? base.meta_opt_ms / s.meta_opt_ms : 0.0);
+    results.endrow();
+  }
+  bench::write_report(out_path, "pipeline",
+                      {{"ops", ops},
+                       {"train_ops", train_ops},
+                       {"mds", mds},
+                       {"smoke", smoke}},
+                      results);
+  std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

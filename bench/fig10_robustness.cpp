@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   std::printf("training ML models on a sibling run (seed 99)...\n\n");
   const auto models = bench::train_for(bench::standard_rw(/*seed=*/99), clean);
 
-  common::CsvWriter csv(bench::csv_path("fig10", "robustness"));
+  common::CsvWriter csv = bench::open_csv("fig10", "robustness");
   csv.header({"strategy", "mode", "steady_throughput_ops", "p50_rct_us",
               "p99_rct_us", "retries", "timeouts", "failed_ops", "failovers",
               "failover_dirs", "aborted_migrations", "time_down_s",
@@ -101,5 +101,6 @@ int main(int argc, char** argv) {
   std::printf("every strategy saw the identical seeded fault schedule "
               "(seed 2026): crash p=0.05/epoch,\nstraggler p=0.06/epoch "
               "(4x slow), RPC loss 5e-4. CSV: fig10_robustness.csv\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   const auto models = bench::train_for(
       bench::standard_rw(/*seed=*/99, /*ops=*/150'000), base);
 
-  common::CsvWriter csv(bench::csv_path("fig11", "recovery"));
+  common::CsvWriter csv = bench::open_csv("fig11", "recovery");
   csv.header({"strategy", "crash_prob", "steady_throughput_ops", "p50_rct_us",
               "p99_rct_us", "p99_degradation", "crashes", "journal_replays",
               "journal_replayed_records", "mean_replay_window_ms",
@@ -129,5 +129,6 @@ int main(int argc, char** argv) {
   }
   std::printf("all runs audited: I1-I6 hold under every crash rate. "
               "CSV: fig11_recovery.csv\n");
+  bench::close_csv(csv);
   return 0;
 }

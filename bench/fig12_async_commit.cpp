@@ -17,8 +17,8 @@
 // into durable and reported-lost.
 //
 // Outputs: fig12_async_commit.csv (one row per grid cell) and a JSON
-// summary (--out, default BENCH_async_commit.json). --smoke shrinks the
-// trace for CI.
+// report of the same rows (--out, default BENCH_async_commit.json).
+// --smoke shrinks the trace for CI.
 
 #include <cstdio>
 #include <filesystem>
@@ -79,7 +79,6 @@ struct Cell {
   CommitConfig cfg;
   double rate = 0.0;
   double steady = 0.0;
-  cluster::RunResult r;
 };
 
 }  // namespace
@@ -93,8 +92,9 @@ int main(int argc, char** argv) {
 
   // --kv-backing runs the grid on the real store: each MDS's InodeStore
   // group-commits a file-backed WAL, crashes sweep real commit buffers, and
-  // the JSON (--kv-out) reports the *measured* fsync distribution next to
-  // the modeled t_fsync — Fig. 12's measured-vs-modeled companion.
+  // the report (--kv-out) gives the *measured* fsync distribution next to
+  // the modeled t_fsync — Fig. 12's measured-vs-modeled companion. It has
+  // no CSV beside it.
   const bool kv_backing = raw.get_bool("kv-backing", false);
   const std::string kv_out = raw.get("kv-out", "BENCH_kv_commit.json");
   std::string kv_wal_dir = raw.get("kv-wal-dir", "");
@@ -110,13 +110,23 @@ int main(int argc, char** argv) {
       bench::options_from_argv(argc, argv, bench::paper_options());
   base.kv_backing = base.kv_backing || kv_backing;
 
-  common::CsvWriter csv(bench::csv_path("fig12", "async_commit"));
+  common::CsvWriter csv = bench::open_csv("fig12", "async_commit");
   csv.header({"mode", "commit_window_ms", "commit_batch", "crash_prob",
               "steady_throughput_ops", "throughput_ops", "mean_latency_us",
               "p99_latency_us", "group_commits", "journal_records",
               "acked_lost_ops", "acked_lost_records", "unacked_lost_records",
               "max_commit_lag_ms", "crashes", "journal_replays",
               "invariants_ok"});
+  // Measured-vs-modeled: the DES prices every sync commit at t_fsync
+  // (100us in this figure) while the real store *measures* each group
+  // commit's fsync on the WAL files under --kv-wal-dir.
+  common::CsvWriter kv_rows;
+  kv_rows.header({"mode", "commit_window_ms", "crash_prob", "group_commits",
+                  "group_commit_records", "wal_fsyncs",
+                  "commit_buffer_bytes_max", "fsync_us_p50", "fsync_us_p99",
+                  "fsync_us_max", "fsync_us_mean", "fsync_samples",
+                  "kv_crash_recoveries", "kv_replayed_records",
+                  "kv_acked_lost_records"});
 
   int violations = 0;
   std::vector<Cell> cells;
@@ -171,13 +181,26 @@ int main(int argc, char** argv) {
           .field(f.journal_replays)
           .field(std::uint64_t{ok ? 1u : 0u});
       csv.endrow();
-
-      Cell cell;
-      cell.cfg = cfg;
-      cell.rate = rate;
-      cell.steady = r.steady_throughput_ops;
-      cell.r = std::move(r);
-      cells.push_back(std::move(cell));
+      if (kv_backing) {
+        const kv::DbStats& kv = r.kv_stats;
+        kv_rows.field(cfg.mode)
+            .field(cfg.window_ms)
+            .field(rate)
+            .field(kv.group_commits)
+            .field(kv.group_commit_records)
+            .field(kv.wal_fsyncs)
+            .field(kv.commit_buffer_bytes_max)
+            .field(kv.fsync_micros.quantile(0.5))
+            .field(kv.fsync_micros.quantile(0.99))
+            .field(kv.fsync_micros.max())
+            .field(kv.fsync_micros.mean())
+            .field(kv.fsync_micros.count())
+            .field(f.kv_crash_recoveries)
+            .field(f.kv_replayed_records)
+            .field(f.kv_acked_lost_records);
+        kv_rows.endrow();
+      }
+      cells.push_back({cfg, rate, r.steady_throughput_ops});
     }
     std::printf("\n");
   }
@@ -202,91 +225,27 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n  \"bench\": \"async_commit\",\n  \"ops\": %llu,\n"
-                 "  \"smoke\": %s,\n  \"commit_batch\": %u,\n"
-                 "  \"monotone_throughput\": %s,\n  \"results\": [\n",
-                 static_cast<unsigned long long>(ops),
-                 smoke ? "true" : "false", kAsyncBatch,
-                 regressions == 0 ? "true" : "false");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const Cell& c = cells[i];
-      const auto& f = c.r.faults;
-      std::fprintf(
-          out,
-          "    {\"mode\": \"%s\", \"commit_window_ms\": %.2f, "
-          "\"crash_prob\": %.2f, \"steady_throughput_ops\": %.1f, "
-          "\"p99_latency_us\": %.1f, \"group_commits\": %llu, "
-          "\"acked_lost_records\": %llu, \"unacked_lost_records\": %llu, "
-          "\"max_commit_lag_ms\": %.3f, \"crashes\": %llu}%s\n",
-          c.cfg.mode, c.cfg.window_ms, c.rate, c.steady, c.r.p99_latency_us,
-          static_cast<unsigned long long>(f.group_commits),
-          static_cast<unsigned long long>(f.acked_lost_ops),
-          static_cast<unsigned long long>(f.unacked_lost_ops),
-          sim::to_seconds(f.max_commit_lag) * 1e3,
-          static_cast<unsigned long long>(f.crashes),
-          i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-  }
-
-  if (kv_backing) {
-    // Measured-vs-modeled: the DES prices every sync commit at t_fsync
-    // (100us in this figure) while the real store *measures* each group
-    // commit's fsync on the WAL files under --kv-wal-dir.
-    std::FILE* kvf = std::fopen(kv_out.c_str(), "w");
-    if (kvf != nullptr) {
-      std::fprintf(kvf,
-                   "{\n  \"bench\": \"kv_commit\",\n  \"ops\": %llu,\n"
-                   "  \"smoke\": %s,\n  \"modeled_t_fsync_us\": 100,\n"
-                   "  \"commit_batch\": %u,\n  \"results\": [\n",
-                   static_cast<unsigned long long>(ops),
-                   smoke ? "true" : "false", kAsyncBatch);
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell& c = cells[i];
-        const kv::DbStats& kv = c.r.kv_stats;
-        const auto& f = c.r.faults;
-        std::fprintf(
-            kvf,
-            "    {\"mode\": \"%s\", \"commit_window_ms\": %.2f, "
-            "\"crash_prob\": %.2f, \"group_commits\": %llu, "
-            "\"group_commit_records\": %llu, \"wal_fsyncs\": %llu, "
-            "\"commit_buffer_bytes_max\": %llu, "
-            "\"fsync_us_p50\": %llu, \"fsync_us_p99\": %llu, "
-            "\"fsync_us_max\": %llu, \"fsync_us_mean\": %.1f, "
-            "\"fsync_samples\": %llu, \"kv_crash_recoveries\": %llu, "
-            "\"kv_replayed_records\": %llu, "
-            "\"kv_acked_lost_records\": %llu}%s\n",
-            c.cfg.mode, c.cfg.window_ms, c.rate,
-            static_cast<unsigned long long>(kv.group_commits),
-            static_cast<unsigned long long>(kv.group_commit_records),
-            static_cast<unsigned long long>(kv.wal_fsyncs),
-            static_cast<unsigned long long>(kv.commit_buffer_bytes_max),
-            static_cast<unsigned long long>(kv.fsync_micros.quantile(0.5)),
-            static_cast<unsigned long long>(kv.fsync_micros.quantile(0.99)),
-            static_cast<unsigned long long>(kv.fsync_micros.max()),
-            kv.fsync_micros.mean(),
-            static_cast<unsigned long long>(kv.fsync_micros.count()),
-            static_cast<unsigned long long>(f.kv_crash_recoveries),
-            static_cast<unsigned long long>(f.kv_replayed_records),
-            static_cast<unsigned long long>(f.kv_acked_lost_records),
-            i + 1 < cells.size() ? "," : "");
-      }
-      std::fprintf(kvf, "  ]\n}\n");
-      std::fclose(kvf);
-      std::printf("measured group-commit JSON: %s (WAL dir %s)\n",
-                  kv_out.c_str(), kv_wal_dir.c_str());
-    }
-  }
-
   if (violations > 0 || regressions > 0) {
     std::printf("FAILED: %d invariant violation(s), %d throughput "
                 "regression(s)\n",
                 violations, regressions);
     return 1;
+  }
+  bench::write_report(out_path, "async_commit",
+                      {{"ops", ops},
+                       {"smoke", smoke},
+                       {"commit_batch", kAsyncBatch}},
+                      csv);
+  if (kv_backing) {
+    bench::write_report(kv_out, "kv_commit",
+                        {{"ops", ops},
+                         {"smoke", smoke},
+                         {"modeled_t_fsync_us", 100},
+                         {"commit_batch", kAsyncBatch},
+                         {"kv_wal_dir", kv_wal_dir}},
+                        kv_rows);
+    std::printf("measured group-commit JSON: %s (WAL dir %s)\n",
+                kv_out.c_str(), kv_wal_dir.c_str());
   }
   std::printf("all runs audited: I1-I8 hold, throughput monotone in the "
               "durability window. CSV: fig12_async_commit.csv, JSON: %s\n",

@@ -1,307 +1,32 @@
 // Beyond-paper Figure 13 — the policy face-off: every balancing policy in
-// `policy::Registry::builtin()` over two workloads (Trace-RW, Trace-WI),
-// three execution modes per policy:
+// `policy::Registry::builtin()` over Trace-RW and Trace-WI under the closed
+// loop, epoch-clean, epoch-faults and live (bench/policy_sweep.hpp).
 //
-//   epoch-clean   the fault-free DES replay (paper methodology),
-//   epoch-faults  crashes + RPC loss + async group commit; every run is
-//                 audited by the NamespaceInvariantChecker (I1-I8) and the
-//                 verdict is printed per row (CI greps it) and recorded in
-//                 the CSV,
-//   live          the real OrigamiFS service with a light fault plan, for
-//                 policies that register a live-mode form.
-//
-// Per-epoch behaviour (commit/abort/fence distributions) is collected
-// through the engine observer bus rather than RunResult fields — this
-// bench is the observer API's consumer-in-tree.
-//
-// Outputs: fig13_policy_faceoff.csv and a JSON summary (--out, default
+// Outputs: fig13_policy_faceoff.csv and a JSON report (--out, default
 // BENCH_policy_faceoff.json). --smoke shrinks traces for CI.
 
-#include <algorithm>
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "origami/common/csv.hpp"
 #include "origami/common/flags.hpp"
-#include "origami/engine/observer.hpp"
-#include "origami/fault/fault.hpp"
-#include "origami/fs/live_replay.hpp"
-#include "origami/policy/registry.hpp"
-#include "origami/recovery/invariants.hpp"
+#include "policy_sweep.hpp"
 
 using namespace origami;
 
-namespace {
-
-/// Collects the per-epoch counter distribution off the observer bus.
-class EpochDistribution final : public engine::Observer {
- public:
-  void on_epoch_end(const cluster::EpochMetrics& em,
-                    const engine::EpochCounters& delta) override {
-    (void)em;
-    ++epochs;
-    if (delta.committed_migrations > 0) ++epochs_with_commits;
-    max_epoch_aborts = std::max(max_epoch_aborts, delta.aborted_migrations);
-    max_epoch_fences = std::max(max_epoch_fences, delta.fenced_rejections);
-  }
-  void on_migration_phase(const engine::MigrationPhaseEvent& ev) override {
-    using Phase = engine::MigrationPhaseEvent::Phase;
-    if (ev.phase == Phase::kPrepare) ++prepares;
-    if (ev.phase == Phase::kCommit) ++commits;
-    if (ev.phase == Phase::kAbort) ++aborts;
-  }
-
-  std::uint64_t epochs = 0;
-  std::uint64_t epochs_with_commits = 0;
-  std::uint64_t max_epoch_aborts = 0;
-  std::uint64_t max_epoch_fences = 0;
-  std::uint64_t prepares = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-};
-
-cluster::ReplayOptions faulted(cluster::ReplayOptions opt) {
-  fault::FaultPlan& plan = opt.faults;
-  plan.seed = 2027;
-  plan.crash_prob = 0.05;
-  plan.crash_recovery = sim::millis(400);
-  plan.rpc_loss_prob = 0.0005;
-  opt.retry.max_retries = 5;
-  opt.retry.timeout = sim::millis(2);
-  opt.recovery.commit_mode = recovery::CommitMode::kAsync;
-  opt.recovery.commit_window = sim::millis(1.0);
-  opt.recovery.commit_batch = 1024;
-  return opt;
-}
-
-struct Row {
-  std::string workload;
-  std::string policy;
-  std::string mode;
-  std::uint32_t servers = 0;
-  double throughput = 0.0;
-  double p99_us = 0.0;
-  double imbalance = 0.0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t fences = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t epochs_with_commits = 0;
-  std::uint64_t max_epoch_aborts = 0;
-  bool invariants_ok = true;
-};
-
-void emit(common::CsvWriter& csv, const Row& row) {
-  csv.field(row.workload)
-      .field(row.policy)
-      .field(row.mode)
-      .field(std::uint64_t{row.servers})
-      .field(row.throughput)
-      .field(row.p99_us)
-      .field(row.imbalance)
-      .field(row.commits)
-      .field(row.aborts)
-      .field(row.fences)
-      .field(row.crashes)
-      .field(row.epochs_with_commits)
-      .field(row.max_epoch_aborts)
-      .field(std::uint64_t{row.invariants_ok ? 1u : 0u});
-  csv.endrow();
-  std::printf("%-3s %-12s %-12s %9.0f ops/s  p99 %8.1fus  imb %5.2f  "
-              "%3lu commit %2lu abort %3lu fence%s\n",
-              row.workload.c_str(), row.policy.c_str(), row.mode.c_str(),
-              row.throughput, row.p99_us, row.imbalance,
-              static_cast<unsigned long>(row.commits),
-              static_cast<unsigned long>(row.aborts),
-              static_cast<unsigned long>(row.fences),
-              row.invariants_ok ? "" : "  INVARIANTS VIOLATED");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::printf("=== Fig. 13 — policy face-off across the registry ===\n\n");
-  const common::Flags raw(argc, argv);
-  const bool smoke = raw.get_bool("smoke", false);
-  const std::string out_path = raw.get("out", "BENCH_policy_faceoff.json");
-  const std::uint64_t ops = smoke ? 25'000 : 100'000;
-  const std::uint64_t live_epoch_ops = smoke ? 5'000 : 20'000;
-  const int gbdt_rounds = smoke ? 40 : 120;
-
-  const cluster::ReplayOptions base =
-      bench::options_from_argv(argc, argv, bench::paper_options());
-  const policy::Registry& registry = policy::Registry::builtin();
-
-  struct Workload {
-    const char* name;
-    wl::Trace trace;
-  };
-  std::vector<Workload> workloads;
-  workloads.push_back({"rw", bench::standard_rw(/*seed=*/1, ops)});
-  workloads.push_back({"wi", bench::standard_wi(/*seed=*/3, ops)});
-
-  common::CsvWriter csv(bench::csv_path("fig13", "policy_faceoff"));
-  csv.header({"workload", "policy", "mode", "servers", "throughput_ops",
-              "p99_latency_us", "imbalance", "committed_migrations",
-              "aborted_migrations", "fenced_rejections", "crashes",
-              "epochs_with_commits", "max_epoch_aborts", "invariants_ok"});
-
-  int violations = 0;
-  std::vector<Row> rows;
-
-  for (const Workload& w : workloads) {
-    std::printf("--- workload %s: training models (sibling seed 99) ---\n",
-                w.name);
-    // One model pair per workload, shared by every policy that wants one.
-    const core::TrainedModels models = bench::train_for(
-        w.name == std::string("wi") ? bench::standard_wi(99, ops)
-                                    : bench::standard_rw(99, ops),
-        base, gbdt_rounds);
-
-    // "fixed" replays a converged partition; the f-hash clean run (which
-    // the registry orders before "fixed") provides a deterministic one.
-    cluster::RunResult converged;
-
-    for (const policy::Entry& e : registry.entries()) {
-      policy::PolicyContext ctx;
-      ctx.benefit_model = models.benefit;
-      ctx.popularity_model = models.popularity;
-      ctx.converged = e.name == "fixed" ? &converged : nullptr;
-
-      for (const char* mode : {"epoch-clean", "epoch-faults"}) {
-        const bool with_faults = mode == std::string("epoch-faults");
-        cluster::ReplayOptions opt = with_faults ? faulted(base) : base;
-        if (e.single_mds) opt.mds_count = 1;
-        EpochDistribution dist;
-        opt.observers.push_back(&dist);
-        ctx.options = &opt;
-        auto made = registry.make(e.name, ctx);
-        if (!made.is_ok()) {
-          std::fprintf(stderr, "error: %s\n",
-                       made.status().to_string().c_str());
-          return 2;
-        }
-        const auto balancer = std::move(made).value();
-        const auto r = cluster::replay_trace(w.trace, opt, *balancer);
-        if (!with_faults && e.name == "f-hash") converged = r;
-
-        Row row;
-        row.workload = w.name;
-        row.policy = e.name;
-        row.mode = mode;
-        row.servers = r.mds_count;
-        row.throughput = r.steady_throughput_ops;
-        row.p99_us = r.p99_latency_us;
-        row.imbalance = r.imf_busy;
-        row.commits = dist.commits;
-        row.aborts = dist.aborts;
-        row.fences = r.faults.fenced_rejections;
-        row.crashes = r.faults.crashes;
-        row.epochs_with_commits = dist.epochs_with_commits;
-        row.max_epoch_aborts = dist.max_epoch_aborts;
-        if (with_faults && r.ledger) {
-          const auto report = recovery::NamespaceInvariantChecker::check(
-              w.trace.tree, *r.ledger);
-          row.invariants_ok = report.ok();
-          if (row.invariants_ok) {
-            std::printf("  [%s/%s] invariants: I1-I8 hold\n", w.name,
-                        e.name.c_str());
-          } else {
-            ++violations;
-            std::printf("  [%s/%s] invariants: VIOLATED\n%s\n", w.name,
-                        e.name.c_str(), report.to_string().c_str());
-          }
-        }
-        emit(csv, row);
-        rows.push_back(row);
-      }
-
-      if (e.make_live != nullptr) {
-        // Live mode: the real service under a light fault plan, the policy
-        // narrating its two-phase moves through the LiveFaultContext.
-        cluster::ReplayOptions live_base = base;
-        ctx.options = &live_base;
-        auto made = registry.make_live(e.name, ctx);
-        if (!made.is_ok()) {
-          std::fprintf(stderr, "error: %s\n",
-                       made.status().to_string().c_str());
-          return 2;
-        }
-        const auto live = std::move(made).value();
-        fs::OrigamiFs::Options fopt;
-        fopt.shards = base.mds_count;
-        fs::OrigamiFs fsys(fopt);
-        fs::LiveReplayOptions lro;
-        lro.epoch_ops = live_epoch_ops;
-        lro.shard_threads = base.shard_threads;
-        lro.on_epoch = [&live](fs::OrigamiFs& f, fs::LiveFaultContext& c) {
-          return live->on_epoch(f, c);
-        };
-        lro.faults.seed = 7;
-        lro.faults.crash_prob = 0.05;
-        lro.faults.crash_recovery = sim::millis(200);
-        lro.retry.max_retries = 4;
-        const auto r = fs::replay_on_live(w.trace, fsys, lro);
-
-        Row row;
-        row.workload = w.name;
-        row.policy = e.name;
-        row.mode = "live";
-        row.servers = base.mds_count;
-        row.throughput = r.throughput_ops;
-        row.p99_us = r.latency.quantile(0.99) / 1'000.0;
-        row.imbalance = r.shard_imbalance;
-        row.commits = r.faults.committed_migrations;
-        row.aborts = r.faults.aborted_migrations;
-        row.fences = r.faults.fenced_rejections;
-        row.crashes = r.faults.crashes;
-        emit(csv, row);
-        rows.push_back(row);
-      }
-    }
-    std::printf("\n");
-  }
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n  \"bench\": \"policy_faceoff\",\n  \"ops\": %llu,\n"
-                 "  \"smoke\": %s,\n  \"policies\": %zu,\n"
-                 "  \"invariant_violations\": %d,\n  \"results\": [\n",
-                 static_cast<unsigned long long>(ops),
-                 smoke ? "true" : "false", registry.entries().size(),
-                 violations);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(
-          out,
-          "    {\"workload\": \"%s\", \"policy\": \"%s\", \"mode\": \"%s\", "
-          "\"servers\": %u, \"throughput_ops\": %.1f, \"p99_latency_us\": "
-          "%.1f, \"imbalance\": %.3f, \"committed_migrations\": %llu, "
-          "\"aborted_migrations\": %llu, \"fenced_rejections\": %llu, "
-          "\"crashes\": %llu, \"invariants_ok\": %s}%s\n",
-          r.workload.c_str(), r.policy.c_str(), r.mode.c_str(), r.servers,
-          r.throughput, r.p99_us, r.imbalance,
-          static_cast<unsigned long long>(r.commits),
-          static_cast<unsigned long long>(r.aborts),
-          static_cast<unsigned long long>(r.fences),
-          static_cast<unsigned long long>(r.crashes),
-          r.invariants_ok ? "true" : "false",
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-  }
-
-  if (violations > 0) {
-    std::printf("FAILED: %d run(s) violated namespace invariants\n",
-                violations);
-    return 1;
-  }
-  std::printf("all faulted runs audited: I1-I8 hold across %zu policies. "
-              "CSV: fig13_policy_faceoff.csv, JSON: %s\n",
-              registry.entries().size(), out_path.c_str());
-  return 0;
+  const common::Flags flags(argc, argv);
+  bench::SweepPreset p;
+  p.figure = "fig13";
+  p.bench = "policy_faceoff";
+  p.out_path = flags.get("out", "BENCH_policy_faceoff.json");
+  p.smoke = flags.get_bool("smoke", false);
+  p.ops = p.smoke ? 25'000 : 100'000;
+  p.base = bench::options_from_argv(argc, argv, bench::paper_options());
+  p.workloads.push_back(
+      {"rw", bench::standard_rw(1, p.ops), bench::standard_rw(99, p.ops)});
+  p.workloads.push_back(
+      {"wi", bench::standard_wi(3, p.ops), bench::standard_wi(99, p.ops)});
+  p.live_epoch_ops = p.smoke ? 5'000 : 20'000;
+  return bench::run_policy_sweep(p);
 }

@@ -12,15 +12,15 @@
 //                column moves only with offered load (closed-loop clients),
 //                never with threads — while host wall time shows how the
 //                serving plane scales on real cores. Host-side numbers are
-//                machine-dependent and recorded (with `host_cores`) rather
-//                than asserted;
+//                machine-dependent and recorded (the report's `host` holds
+//                the core count) rather than asserted;
 //   live robustness  the live counterparts of Fig. 10 (fault-type sweep vs
 //                p99 tail latency) and Fig. 11 (crash-recovery-duration
 //                sweep vs downtime and throughput), now measurable because
 //                the live plane has a real latency distribution.
 //
-// Outputs: fig14_saturation.csv and a JSON summary (--out, default
-// BENCH_saturation.json). --smoke shrinks the matrix for CI. All shared
+// Outputs: fig14_saturation.csv and a JSON report of the same rows (--out,
+// default BENCH_saturation.json). --smoke shrinks the matrix for CI. All shared
 // knobs (--shard-threads, --fault-*, --retry-*, --commit-*) go through
 // cluster::options_from_flags: a malformed value prints usage and exits 2.
 
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
   const wl::Trace trace = bench::standard_rw(/*seed=*/1, ops);
 
-  common::CsvWriter csv(bench::csv_path("fig14", "saturation"));
+  common::CsvWriter csv = bench::open_csv("fig14", "saturation");
   csv.header({"section", "scenario", "clients", "shard_threads",
               "virtual_throughput_ops", "p99_latency_us", "makespan_ms",
               "host_ms", "time_down_ms", "time_degraded_ms", "failed_ops"});
@@ -186,11 +186,6 @@ int main(int argc, char** argv) {
   const std::vector<std::uint32_t> thread_axis =
       smoke ? std::vector<std::uint32_t>{1, 4}
             : std::vector<std::uint32_t>{1, 2, 4, 8};
-  struct MatrixCell {
-    std::uint32_t clients, threads;
-    double vthroughput, p99_us, host_ms;
-  };
-  std::vector<MatrixCell> matrix;
   for (const std::uint32_t clients : client_axis) {
     for (const std::uint32_t threads : thread_axis) {
       fs::LiveReplayOptions lro = clean_options();
@@ -198,9 +193,6 @@ int main(int argc, char** argv) {
       lro.shard_threads = threads;
       const LiveRun run = run_live(trace, lro);
       emit("matrix", "clean", clients, threads, run);
-      matrix.push_back({clients, threads, run.stats.throughput_ops,
-                        run.stats.latency.quantile(0.99) / 1'000.0,
-                        run.host_ms});
       std::printf("  clients %2u threads %u: %9.0f ops/s (virtual)  p99 "
                   "%7.1fus  host %7.1fms\n",
                   clients, threads, run.stats.throughput_ops,
@@ -240,36 +232,21 @@ int main(int argc, char** argv) {
     sweep.push_back({"rpc-loss", lro});
   }
   sweep.push_back({"combined", faulted_options()});
-  struct SweepRow {
-    std::string name;
-    double p99_us, time_down_ms, time_degraded_ms;
-    std::uint64_t failed;
-  };
-  std::vector<SweepRow> sweep_rows;
   for (Scenario& sc : sweep) {
     sc.lro.shard_threads = base.shard_threads;
     const LiveRun run = run_live(trace, sc.lro);
     emit("fault-sweep", sc.name, sc.lro.clients, sc.lro.shard_threads, run);
-    sweep_rows.push_back({sc.name,
-                          run.stats.latency.quantile(0.99) / 1'000.0,
-                          static_cast<double>(run.stats.faults.time_down) / 1e6,
-                          static_cast<double>(run.stats.faults.time_degraded) /
-                              1e6,
-                          run.stats.faults.failed_ops});
+    const fs::LiveReplayStats& s = run.stats;
     std::printf("  %-10s p99 %8.1fus  down %7.1fms  degraded %7.1fms  "
                 "failed %llu\n",
-                sc.name, sweep_rows.back().p99_us,
-                sweep_rows.back().time_down_ms,
-                sweep_rows.back().time_degraded_ms,
-                static_cast<unsigned long long>(sweep_rows.back().failed));
+                sc.name, s.latency.quantile(0.99) / 1'000.0,
+                static_cast<double>(s.faults.time_down) / 1e6,
+                static_cast<double>(s.faults.time_degraded) / 1e6,
+                static_cast<unsigned long long>(s.faults.failed_ops));
   }
 
   // ---- 4. live Fig. 11 counterpart: recovery-duration sweep -------------
   std::printf("\n--- live recovery sweep (Fig. 11 counterpart) ---\n");
-  struct RecoveryRow {
-    double recovery_ms, time_down_ms, vthroughput, p99_us;
-  };
-  std::vector<RecoveryRow> recovery_rows;
   for (const double recovery_ms : {50.0, 200.0, 800.0}) {
     fs::LiveReplayOptions lro = clean_options();
     lro.shard_threads = base.shard_threads;
@@ -281,60 +258,11 @@ int main(int argc, char** argv) {
     char label[32];
     std::snprintf(label, sizeof(label), "recovery-%.0fms", recovery_ms);
     emit("recovery-sweep", label, lro.clients, lro.shard_threads, run);
-    recovery_rows.push_back(
-        {recovery_ms, static_cast<double>(run.stats.faults.time_down) / 1e6,
-         run.stats.throughput_ops,
-         run.stats.latency.quantile(0.99) / 1'000.0});
+    const fs::LiveReplayStats& s = run.stats;
     std::printf("  recovery %5.0fms: down %8.1fms  %9.0f ops/s  p99 "
                 "%8.1fus\n",
-                recovery_ms, recovery_rows.back().time_down_ms,
-                recovery_rows.back().vthroughput, recovery_rows.back().p99_us);
-  }
-
-  // ---- JSON summary -----------------------------------------------------
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n  \"bench\": \"saturation\",\n  \"ops\": %llu,\n"
-                 "  \"smoke\": %s,\n  \"host_cores\": %u,\n"
-                 "  \"shards\": %u,\n  \"determinism_ok\": %s,\n"
-                 "  \"matrix\": [\n",
-                 static_cast<unsigned long long>(ops),
-                 smoke ? "true" : "false", host_cores, kShards,
-                 mismatches == 0 ? "true" : "false");
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-      const MatrixCell& c = matrix[i];
-      std::fprintf(out,
-                   "    {\"clients\": %u, \"shard_threads\": %u, "
-                   "\"virtual_throughput_ops\": %.1f, \"p99_latency_us\": "
-                   "%.1f, \"host_ms\": %.1f}%s\n",
-                   c.clients, c.threads, c.vthroughput, c.p99_us, c.host_ms,
-                   i + 1 < matrix.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"fault_sweep\": [\n");
-    for (std::size_t i = 0; i < sweep_rows.size(); ++i) {
-      const SweepRow& r = sweep_rows[i];
-      std::fprintf(out,
-                   "    {\"scenario\": \"%s\", \"p99_latency_us\": %.1f, "
-                   "\"time_down_ms\": %.1f, \"time_degraded_ms\": %.1f, "
-                   "\"failed_ops\": %llu}%s\n",
-                   r.name.c_str(), r.p99_us, r.time_down_ms,
-                   r.time_degraded_ms,
-                   static_cast<unsigned long long>(r.failed),
-                   i + 1 < sweep_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"recovery_sweep\": [\n");
-    for (std::size_t i = 0; i < recovery_rows.size(); ++i) {
-      const RecoveryRow& r = recovery_rows[i];
-      std::fprintf(out,
-                   "    {\"recovery_ms\": %.0f, \"time_down_ms\": %.1f, "
-                   "\"virtual_throughput_ops\": %.1f, \"p99_latency_us\": "
-                   "%.1f}%s\n",
-                   r.recovery_ms, r.time_down_ms, r.vthroughput, r.p99_us,
-                   i + 1 < recovery_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
+                recovery_ms, static_cast<double>(s.faults.time_down) / 1e6,
+                s.throughput_ops, s.latency.quantile(0.99) / 1'000.0);
   }
 
   if (mismatches > 0) {
@@ -342,6 +270,9 @@ int main(int argc, char** argv) {
                 mismatches);
     return 1;
   }
+  bench::write_report(out_path, "saturation",
+                      {{"ops", ops}, {"smoke", smoke}, {"shards", kShards}},
+                      csv);
   std::printf("\ndeterminism gate: output byte-identical across shard "
               "thread counts. CSV: fig14_saturation.csv, JSON: %s\n",
               out_path.c_str());

@@ -3,118 +3,31 @@
 // families (Trace-Falcon, the FalconFS-style DL data pipeline, and
 // Trace-Midas, the MIDAS-style HPC burst workload), replayed with
 // `--arrival=trace` so issuance follows each family's native arrival
-// timestamps (scan storms, checkpoint barriers, job-burst on/off load).
+// timestamps (scan storms, checkpoint barriers, job-burst on/off load),
+// epoch-clean and epoch-faults (bench/policy_sweep.hpp).
 //
-// Two execution modes per policy:
-//
-//   epoch-clean   fault-free DES replay under the native arrival process,
-//   epoch-faults  crashes + RPC loss + async group commit; every run is
-//                 audited by the NamespaceInvariantChecker (I1-I8) and the
-//                 verdict printed per row (CI greps it).
-//
-// The bench is also the consumer-in-tree of the observer bus's arrival
-// seam: an observer counts issued ops and the arrival span, checking the
-// engine really drove issuance through the trace's timestamps.
-//
-// Outputs: fig15_workload_families.csv and a JSON summary (--out, default
+// Outputs: fig15_workload_families.csv and a JSON report (--out, default
 // BENCH_workload_families.json). --smoke shrinks traces for CI.
 
-#include <algorithm>
 #include <cstdio>
-#include <string>
-#include <vector>
+#include <utility>
 
 #include "bench_common.hpp"
-#include "origami/common/csv.hpp"
 #include "origami/common/flags.hpp"
-#include "origami/engine/observer.hpp"
-#include "origami/fault/fault.hpp"
-#include "origami/policy/registry.hpp"
-#include "origami/recovery/invariants.hpp"
+#include "policy_sweep.hpp"
 
 using namespace origami;
-
-namespace {
-
-/// Consumes the arrival seam: issued-op count and the stamped arrival span,
-/// proving the run was driven by the trace's native timestamps.
-class ArrivalAudit final : public engine::Observer {
- public:
-  void on_arrival(const engine::ArrivalEvent& ev) override {
-    ++issued;
-    last_at = std::max(last_at, ev.at);
-  }
-
-  std::uint64_t issued = 0;
-  sim::SimTime last_at = 0;
-};
-
-cluster::ReplayOptions faulted(cluster::ReplayOptions opt) {
-  fault::FaultPlan& plan = opt.faults;
-  plan.seed = 2027;
-  plan.crash_prob = 0.05;
-  plan.crash_recovery = sim::millis(400);
-  plan.rpc_loss_prob = 0.0005;
-  opt.retry.max_retries = 5;
-  opt.retry.timeout = sim::millis(2);
-  opt.recovery.commit_mode = recovery::CommitMode::kAsync;
-  opt.recovery.commit_window = sim::millis(1.0);
-  opt.recovery.commit_batch = 1024;
-  return opt;
-}
-
-struct Row {
-  std::string workload;
-  std::string policy;
-  std::string mode;
-  std::string arrival;
-  std::uint32_t servers = 0;
-  double throughput = 0.0;
-  double p99_us = 0.0;
-  double imbalance = 0.0;
-  std::uint64_t issued = 0;
-  double arrival_span_s = 0.0;
-  std::uint64_t migrations = 0;
-  std::uint64_t fences = 0;
-  std::uint64_t crashes = 0;
-  bool invariants_ok = true;
-};
-
-void emit(common::CsvWriter& csv, const Row& row) {
-  csv.field(row.workload)
-      .field(row.policy)
-      .field(row.mode)
-      .field(row.arrival)
-      .field(std::uint64_t{row.servers})
-      .field(row.throughput)
-      .field(row.p99_us)
-      .field(row.imbalance)
-      .field(row.issued)
-      .field(row.arrival_span_s)
-      .field(row.migrations)
-      .field(row.fences)
-      .field(row.crashes)
-      .field(std::uint64_t{row.invariants_ok ? 1u : 0u});
-  csv.endrow();
-  std::printf("%-6s %-12s %-12s %9.0f ops/s  p99 %9.1fus  imb %5.2f  "
-              "span %6.2fs  %3lu migr %3lu fence%s\n",
-              row.workload.c_str(), row.policy.c_str(), row.mode.c_str(),
-              row.throughput, row.p99_us, row.imbalance, row.arrival_span_s,
-              static_cast<unsigned long>(row.migrations),
-              static_cast<unsigned long>(row.fences),
-              row.invariants_ok ? "" : "  INVARIANTS VIOLATED");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::printf("=== Fig. 15 — workload families (falcon/midas) across the "
               "registry ===\n\n");
-  const common::Flags raw(argc, argv);
-  const bool smoke = raw.get_bool("smoke", false);
-  const std::string out_path = raw.get("out", "BENCH_workload_families.json");
-  const std::uint64_t ops = smoke ? 25'000 : 100'000;
-  const int gbdt_rounds = smoke ? 40 : 120;
+  const common::Flags flags(argc, argv);
+  bench::SweepPreset p;
+  p.figure = "fig15";
+  p.bench = "workload_families";
+  p.out_path = flags.get("out", "BENCH_workload_families.json");
+  p.smoke = flags.get_bool("smoke", false);
+  p.ops = p.smoke ? 25'000 : 100'000;
 
   // The timed families replay their native timestamps, which span a couple
   // of virtual seconds at these op counts — scale the balancing epoch down
@@ -123,157 +36,23 @@ int main(int argc, char** argv) {
   cluster::ReplayOptions preset = bench::paper_options();
   preset.epoch_length = sim::millis(50);
   preset.warmup_epochs = 2;
-  cluster::ReplayOptions base =
-      bench::options_from_argv(argc, argv, std::move(preset));
+  p.base = bench::options_from_argv(argc, argv, std::move(preset));
   // The whole point of the timed families: issue through their native
   // arrival timestamps (a caller's explicit --arrival still wins).
-  if (base.arrival.empty()) base.arrival = "trace";
-  const policy::Registry& registry = policy::Registry::builtin();
+  if (p.base.arrival.empty()) p.base.arrival = "trace";
 
-  struct Workload {
-    const char* name;
-    wl::Trace trace;
-  };
-  std::vector<Workload> workloads;
-  {
-    wl::TraceFalconConfig falcon;
-    falcon.ops = ops;
-    workloads.push_back({"falcon", wl::make_trace_falcon(falcon)});
-    wl::TraceMidasConfig midas;
-    midas.ops = ops;
-    workloads.push_back({"midas", wl::make_trace_midas(midas)});
-  }
-
-  common::CsvWriter csv(bench::csv_path("fig15", "workload_families"));
-  csv.header({"workload", "policy", "mode", "arrival", "servers",
-              "throughput_ops", "p99_latency_us", "imbalance", "issued_ops",
-              "arrival_span_s", "migrations", "fenced_rejections", "crashes",
-              "invariants_ok"});
-
-  int violations = 0;
-  std::vector<Row> rows;
-
-  for (const Workload& w : workloads) {
-    std::printf("--- workload %s: training models (sibling seed) ---\n",
-                w.name);
-    // One model pair per family, trained on a sibling-seed trace of the
-    // same family (never the evaluation trace itself).
-    const core::TrainedModels models = bench::train_for(
-        [&] {
-          if (w.name == std::string("falcon")) {
-            wl::TraceFalconConfig cfg;
-            cfg.ops = ops;
-            cfg.seed += 98;
-            return wl::make_trace_falcon(cfg);
-          }
-          wl::TraceMidasConfig cfg;
-          cfg.ops = ops;
-          cfg.seed += 98;
-          return wl::make_trace_midas(cfg);
-        }(),
-        base, gbdt_rounds);
-
-    // "fixed" replays a converged partition; the f-hash clean run (ordered
-    // before "fixed" in the registry) provides a deterministic one.
-    cluster::RunResult converged;
-
-    for (const policy::Entry& e : registry.entries()) {
-      policy::PolicyContext ctx;
-      ctx.benefit_model = models.benefit;
-      ctx.popularity_model = models.popularity;
-      ctx.converged = e.name == "fixed" ? &converged : nullptr;
-
-      for (const char* mode : {"epoch-clean", "epoch-faults"}) {
-        const bool with_faults = mode == std::string("epoch-faults");
-        cluster::ReplayOptions opt = with_faults ? faulted(base) : base;
-        if (e.single_mds) opt.mds_count = 1;
-        ArrivalAudit audit;
-        opt.observers.push_back(&audit);
-        ctx.options = &opt;
-        auto made = registry.make(e.name, ctx);
-        if (!made.is_ok()) {
-          std::fprintf(stderr, "error: %s\n",
-                       made.status().to_string().c_str());
-          return 2;
-        }
-        const auto balancer = std::move(made).value();
-        const auto r = cluster::replay_trace(w.trace, opt, *balancer);
-        if (!with_faults && e.name == "f-hash") converged = r;
-
-        Row row;
-        row.workload = w.name;
-        row.policy = e.name;
-        row.mode = mode;
-        row.arrival = r.arrival_name;
-        row.servers = r.mds_count;
-        row.throughput = r.steady_throughput_ops;
-        row.p99_us = r.p99_latency_us;
-        row.imbalance = r.imf_busy;
-        row.issued = audit.issued;
-        row.arrival_span_s = sim::to_seconds(audit.last_at);
-        row.migrations = r.migrations;
-        row.fences = r.faults.fenced_rejections;
-        row.crashes = r.faults.crashes;
-        if (with_faults && r.ledger) {
-          const auto report = recovery::NamespaceInvariantChecker::check(
-              w.trace.tree, *r.ledger);
-          row.invariants_ok = report.ok();
-          if (row.invariants_ok) {
-            std::printf("  [%s/%s] invariants: I1-I8 hold\n", w.name,
-                        e.name.c_str());
-          } else {
-            ++violations;
-            std::printf("  [%s/%s] invariants: VIOLATED\n%s\n", w.name,
-                        e.name.c_str(), report.to_string().c_str());
-          }
-        }
-        emit(csv, row);
-        rows.push_back(row);
-      }
-    }
-    std::printf("\n");
-  }
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n  \"bench\": \"workload_families\",\n  \"ops\": %llu,\n"
-                 "  \"smoke\": %s,\n  \"policies\": %zu,\n"
-                 "  \"families\": [\"falcon\", \"midas\"],\n"
-                 "  \"invariant_violations\": %d,\n  \"results\": [\n",
-                 static_cast<unsigned long long>(ops),
-                 smoke ? "true" : "false", registry.entries().size(),
-                 violations);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(
-          out,
-          "    {\"workload\": \"%s\", \"policy\": \"%s\", \"mode\": \"%s\", "
-          "\"arrival\": \"%s\", \"servers\": %u, \"throughput_ops\": %.1f, "
-          "\"p99_latency_us\": %.1f, \"imbalance\": %.3f, "
-          "\"issued_ops\": %llu, \"arrival_span_s\": %.3f, "
-          "\"migrations\": %llu, \"fenced_rejections\": %llu, "
-          "\"crashes\": %llu, \"invariants_ok\": %s}%s\n",
-          r.workload.c_str(), r.policy.c_str(), r.mode.c_str(),
-          r.arrival.c_str(), r.servers, r.throughput, r.p99_us, r.imbalance,
-          static_cast<unsigned long long>(r.issued), r.arrival_span_s,
-          static_cast<unsigned long long>(r.migrations),
-          static_cast<unsigned long long>(r.fences),
-          static_cast<unsigned long long>(r.crashes),
-          r.invariants_ok ? "true" : "false",
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-  }
-
-  if (violations > 0) {
-    std::printf("FAILED: %d run(s) violated namespace invariants\n",
-                violations);
-    return 1;
-  }
-  std::printf("all faulted runs audited: I1-I8 hold across %zu policies x 2 "
-              "families. CSV: fig15_workload_families.csv, JSON: %s\n",
-              registry.entries().size(), out_path.c_str());
-  return 0;
+  // Models train on a sibling seed of the same family.
+  wl::TraceFalconConfig falcon;
+  falcon.ops = p.ops;
+  wl::TraceFalconConfig falcon_training = falcon;
+  falcon_training.seed += 98;
+  p.workloads.push_back({"falcon", wl::make_trace_falcon(falcon),
+                         wl::make_trace_falcon(falcon_training)});
+  wl::TraceMidasConfig midas;
+  midas.ops = p.ops;
+  wl::TraceMidasConfig midas_training = midas;
+  midas_training.seed += 98;
+  p.workloads.push_back({"midas", wl::make_trace_midas(midas),
+                         wl::make_trace_midas(midas_training)});
+  return bench::run_policy_sweep(p);
 }

@@ -30,7 +30,7 @@ int main() {
   const auto r5 = bench::run_policy("f-hash", trace, opt, nullptr);
 
   const double single_tput = r1.steady_throughput_ops;
-  common::CsvWriter csv(bench::csv_path("fig2", "throughput"));
+  common::CsvWriter csv = bench::open_csv("fig2", "throughput");
   csv.header({"epoch", "m1", "m2", "m3", "m4", "m5", "aggregate"});
 
   std::printf("(a) per-MDS throughput, normalised to the single-MDS setup\n");
@@ -68,9 +68,11 @@ int main() {
               "execution overhead\nthat caps each MDS below the single-MDS "
               "line (§2.2).\n", r5.rpc_per_request);
 
-  common::CsvWriter jct(bench::csv_path("fig2", "jct"));
+  common::CsvWriter jct = bench::open_csv("fig2", "jct");
   jct.header({"config", "jct_seconds"});
   jct.field("1mds").field(sim::to_seconds(r1.makespan)).endrow();
   jct.field("5mds_even").field(sim::to_seconds(r5.makespan)).endrow();
+  bench::close_csv(csv);
+  bench::close_csv(jct);
   return 0;
 }

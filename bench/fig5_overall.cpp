@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const auto models =
       bench::train_for(bench::standard_rw(/*seed=*/99), opt);
 
-  common::CsvWriter csv(bench::csv_path("fig5", "overall"));
+  common::CsvWriter csv = bench::open_csv("fig5", "overall");
   csv.header({"strategy", "agg_throughput_ops", "speedup_vs_single",
               "latency_1client_us", "latency_increase_pct", "rpc_per_req"});
 
@@ -91,5 +91,6 @@ int main(int argc, char** argv) {
   std::printf("\npaper reference (Fig. 5): single 19.4k/s; c-hash 2.23x; "
               "f-hash -31%% vs c-hash;\nml-tree 1.89x; origami 3.86x. "
               "Latency: +43.9%% / +89.1%% / +29.3%% / +24.2%%.\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   }
   const auto models = bench::train_for(bench::standard_rw(/*seed=*/99), opt);
 
-  common::CsvWriter csv(bench::csv_path("fig6", "imbalance"));
+  common::CsvWriter csv = bench::open_csv("fig6", "imbalance");
   csv.header({"strategy", "if_qps", "if_rpc", "if_inodes", "if_busytime"});
 
   std::printf("%-10s %8s %8s %8s %10s\n", "strategy", "QPS", "RPCs",
@@ -72,5 +72,6 @@ int main(int argc, char** argv) {
   std::printf("\npaper shape: f-hash most even on QPS/RPC/Inodes; origami "
               "lowest on BusyTime;\nml-tree highest on BusyTime (idle MDSs "
               "from conservative migration).\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -47,7 +47,7 @@ int main() {
   single_rate /= static_cast<double>(n1);
   std::printf("single-MDS useful rate baseline: %.0f ops/s\n\n", single_rate);
 
-  common::CsvWriter csv(bench::csv_path("fig7", "efficiency"));
+  common::CsvWriter csv = bench::open_csv("fig7", "efficiency");
   csv.header({"strategy", "t_seconds", "efficiency"});
 
   std::printf("%-8s", "t(s)");
@@ -94,5 +94,6 @@ int main() {
   std::printf("\npaper shape: hash methods flat below 1.0; origami "
               "approaches 1.0 after its\nfirst migrations with only a small "
               "transient dip; ml-tree dips deeper/longer.\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -23,7 +23,7 @@ int main() {
   const double single = r1.steady_throughput_ops;
   std::printf("1-MDS baseline: %.0f ops/s\n\n", single);
 
-  common::CsvWriter csv(bench::csv_path("fig8", "scalability"));
+  common::CsvWriter csv = bench::open_csv("fig8", "scalability");
   csv.header({"strategy", "mds", "speedup"});
 
   // Registry policy specs (same construction path as origami_sim --policy).
@@ -55,5 +55,6 @@ int main() {
   std::printf("\npaper shape: origami near-linear (3 MDS ~2.7x); baselines "
               "flatten as balance\nand locality trade off against each "
               "other.\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -29,7 +29,7 @@ int main() {
       {"Trace-WI", [](std::uint64_t s) { return bench::standard_wi(s); }},
   };
 
-  common::CsvWriter csv(bench::csv_path("fig9", "realworld"));
+  common::CsvWriter csv = bench::open_csv("fig9", "realworld");
   csv.header({"trace", "strategy", "meta_throughput_ops",
               "e2e_throughput_ops"});
 
@@ -81,5 +81,6 @@ int main() {
   std::printf("paper reference: origami beats the 2nd-best baseline by "
               "73.3%% (RW), 54.3%% (RO),\n12.5%% (WI) on metadata; 1.11-1.37x "
               "end-to-end; WI is hardest (drifting hotspots).\n");
+  bench::close_csv(csv);
   return 0;
 }

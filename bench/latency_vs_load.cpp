@@ -17,7 +17,7 @@ int main() {
   const cluster::ReplayOptions base = bench::paper_options();
   const auto models = bench::train_for(bench::standard_rw(/*seed=*/99), base);
 
-  common::CsvWriter csv(bench::csv_path("latency_vs_load", "curves"));
+  common::CsvWriter csv = bench::open_csv("latency_vs_load", "curves");
   csv.header({"strategy", "offered_kops", "p50_us", "p99_us", "completed"});
 
   constexpr const char* kPolicies[] = {"c-hash", "f-hash", "origami"};
@@ -53,5 +53,6 @@ int main() {
   std::printf("\nexpected: every curve explodes past its capacity knee; "
               "origami's knee sits at the\nhighest offered load, f-hash's "
               "at the lowest.\n");
+  bench::close_csv(csv);
   return 0;
 }

@@ -43,7 +43,7 @@ int main() {
   constexpr int kPaperRank[core::kFeatureCount] = {7, 1, 4, 6, 2, 6, 2};
   const double total = std::accumulate(importance.begin(), importance.end(), 0.0);
 
-  common::CsvWriter csv(bench::csv_path("table1", "features"));
+  common::CsvWriter csv = bench::open_csv("table1", "features");
   csv.header({"feature", "type", "normalization", "gain_share", "rank",
               "paper_rank"});
   const char* kType[core::kFeatureCount] = {
@@ -79,5 +79,6 @@ int main() {
               models.benefit_top_lift);
   std::printf("\npaper shape: access-volume features (#sub-files, #write) "
               "near the top;\ndepth least informative.\n");
+  bench::close_csv(csv);
   return 0;
 }

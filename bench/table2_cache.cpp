@@ -50,7 +50,7 @@ int main() {
     }
   }
 
-  common::CsvWriter csv(bench::csv_path("table2", "cache"));
+  common::CsvWriter csv = bench::open_csv("table2", "cache");
   csv.header({"strategy", "tput_nocache_k", "tput_nocache_sd",
               "tput_cache_k", "tput_cache_sd", "rpc_nocache",
               "rpc_nocache_sd", "rpc_cache", "rpc_cache_sd"});
@@ -85,5 +85,6 @@ int main() {
               "  f-hash  22.5->30.0k, 2.87->2.27 RPC\n"
               "  ml-tree 26.7->38.6k, 1.62->1.17 RPC\n"
               "  origami 39.3->78.9k, 1.85->1.04 RPC\n");
+  bench::close_csv(csv);
   return 0;
 }
