@@ -79,6 +79,6 @@ int main() {
               "it. Strategy choice depends on the workload; measure.\n");
   std::printf("\nto do this with a real log:\n"
               "  ./build/tools/trace_tool import my_ops.txt --out my.trace\n"
-              "  ./build/tools/origami_sim --trace-file my.trace --strategy all\n");
+              "  ./build/tools/origami_sim --trace-file my.trace\n");
   return 0;
 }

@@ -1,15 +1,17 @@
 // origami_sim — command-line driver for the simulated metadata cluster.
 //
-//   origami_sim --trace rw --ops 300000 --strategy origami --mds 5
-//   origami_sim --trace ro --strategy all --csv results.csv
-//   origami_sim --trace-file my.trace --strategy meta-opt --epoch-ms 250
+//   origami_sim --trace rw --ops 300000 --policy origami --mds 5
+//   origami_sim --trace ro --csv results.csv
+//   origami_sim --trace-file my.trace --policy meta-opt --epoch-ms 250
 //
-// Strategies: single | c-hash | f-hash | ml-tree | origami | meta-opt | all.
-// ml-tree/origami train their model on a sibling run (seed+98) first.
+// Without --policy it runs the paper's six: single, c-hash, f-hash, ml-tree,
+// origami and meta-opt. ml-tree/origami train their model on a sibling run
+// (seed+98) first.
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "origami/cluster/replay.hpp"
@@ -29,6 +31,7 @@ using namespace origami;
 namespace {
 
 constexpr const char* kUsage = R"(usage: origami_sim [options]
+  --help                   print this usage, then exit
   --trace FAMILY           rw|ro|wi|web|falcon|midas (default rw; falcon and
                            midas are timed — they carry native arrival
                            timestamps for --arrival=trace)
@@ -43,15 +46,16 @@ constexpr const char* kUsage = R"(usage: origami_sim [options]
                            trace's native timestamps, time-scaled)
   --list-arrivals          print every registered arrival process with its
                            parameters, then exit
-  --strategy NAME          single|c-hash|f-hash|ml-tree|origami|meta-opt|all
   --policy SPEC            any registered policy, with parameters:
-                           "name[:key=value,...]" (overrides --strategy;
-                           see --list-policies for the catalogue)
+                           "name[:key=value,...]" (default: single, c-hash,
+                           f-hash, ml-tree, origami and meta-opt, single on
+                           1 MDS; see --list-policies for the catalogue)
   --list-policies          print every registered policy with its params
                            and metrics schema, then exit
   --mds N                  metadata servers (default 5)
   --clients N              closed-loop clients (default 50)
   --epoch-ms N             balancing epoch (default 500)
+  --warmup-epochs N        epochs left out of steady-state numbers (default 4)
   --threads N              analysis-plane worker threads (default 1; results
                            are bit-identical at any value, 0 = all cores)
   --cache on|off           near-root client cache (default on)
@@ -59,7 +63,7 @@ constexpr const char* kUsage = R"(usage: origami_sim [options]
   --data-path              enable the file-data cluster (end-to-end mode)
   --kv-backing             execute real LSM-store ops on each MDS
   --csv PATH               append one row per run to a CSV file
-  --epochs-csv PREFIX      dump per-epoch per-MDS series to PREFIX_<strategy>.csv
+  --epochs-csv PREFIX      dump per-epoch per-MDS series to PREFIX_<policy>.csv
 
 fault injection (all off by default; seeded, deterministic):
   --fault-seed N           fault-schedule seed (default 2026)
@@ -87,6 +91,22 @@ async metadata commit (journaling; only active with faults armed):
                            (group commits then fsync real files and the
                            measured latency is reported)
 )";
+
+/// A flag is known when the usage documents it, so every accepted flag is
+/// documented and a typo cannot fall back to a default run.
+bool documented(const std::string& name) {
+  const std::string_view usage = kUsage;
+  const std::string flag = "--" + name;
+  for (std::size_t at = usage.find(flag); at != std::string_view::npos;
+       at = usage.find(flag, at + 1)) {
+    const std::size_t end = at + flag.size();
+    if (end == usage.size() ||
+        !((usage[end] >= 'a' && usage[end] <= 'z') || usage[end] == '-')) {
+      return true;
+    }
+  }
+  return false;
+}
 
 wl::Trace build_trace(const common::Flags& flags) {
   const std::string file = flags.get("trace-file");
@@ -250,6 +270,16 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     return 0;
   }
+  std::string unknown;
+  for (const std::string& name : flags.names()) {
+    if (!documented(name)) unknown += " --" + name;
+  }
+  for (const std::string& arg : flags.positional()) unknown += " " + arg;
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "error: unrecognized argument(s):%s\n%s",
+                 unknown.c_str(), kUsage);
+    return 2;
+  }
   if (flags.has("list-policies")) {
     std::fputs(policy::Registry::builtin().describe().c_str(), stdout);
     return 0;
@@ -301,19 +331,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Strategy names ARE policy specs now: both --strategy and --policy
-  // resolve through the registry; --policy additionally carries parameters
-  // and reaches the registered baselines beyond the paper's six.
-  const std::string strategy = flags.get("strategy", "all");
-  const bool all_mode = opt.policy.empty() && strategy == "all";
-  std::vector<std::string> todo;
-  if (!opt.policy.empty()) {
-    todo = {opt.policy};
-  } else if (all_mode) {
-    todo = {"single", "c-hash", "f-hash", "ml-tree", "origami", "meta-opt"};
-  } else {
-    todo = {strategy};
-  }
+  // Without --policy, the paper's six, with single on one server.
+  const bool all_mode = opt.policy.empty();
+  const std::vector<std::string> todo =
+      all_mode ? std::vector<std::string>{"single", "c-hash", "f-hash",
+                                          "ml-tree", "origami", "meta-opt"}
+               : std::vector<std::string>{opt.policy};
 
   const policy::Registry& registry = policy::Registry::builtin();
   std::vector<const policy::Entry*> resolved;
