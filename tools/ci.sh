@@ -76,7 +76,7 @@ for seed in 11 12 13; do
   for crash in 0.05 0.15; do
     echo "--- async commit: seed ${seed} crash p=${crash} ---"
     out="$("${BUILD_ROOT}/sanitize/tools/origami_sim" \
-      --trace rw --ops 30000 --strategy c-hash --seed "${seed}" \
+      --trace rw --ops 30000 --policy c-hash --seed "${seed}" \
       --fault-seed "$((900 + seed))" --fault-crash-prob "${crash}" \
       --fault-recovery-ms 300 \
       --commit-mode async --commit-window 2 --commit-batch 64)"
@@ -97,7 +97,7 @@ trap 'rm -rf "${KV_WAL_DIR}"' EXIT
 for seed in 11 12 13; do
   for mode in sync async; do
     echo "--- kv ${mode} commit: seed ${seed} ---"
-    args=(--trace rw --ops 30000 --strategy c-hash --seed "${seed}"
+    args=(--trace rw --ops 30000 --policy c-hash --seed "${seed}"
       --kv-backing --fault-seed "$((900 + seed))" --fault-crash-prob 0.3
       --fault-recovery-ms 300 --commit-mode "${mode}")
     [[ "${mode}" == async ]] &&
@@ -139,7 +139,7 @@ echo "=== [chaos] timed workload families (sanitized origami_sim) ==="
 for family in falcon midas; do
   echo "--- ${family}: faulted async-commit run under native arrivals ---"
   out="$("${BUILD_ROOT}/sanitize/tools/origami_sim" \
-    --trace "${family}" --ops 20000 --strategy origami --seed 11 \
+    --trace "${family}" --ops 20000 --policy origami --seed 11 \
     --arrival trace --epoch-ms 50 --warmup-epochs 2 \
     --fault-seed 911 --fault-crash-prob 0.05 --fault-recovery-ms 300 \
     --commit-mode async --commit-window 2 --commit-batch 64)"
@@ -149,19 +149,25 @@ for family in falcon midas; do
 done
 echo "--- bursty + tenant arrivals: sanitized clean runs ---"
 "${BUILD_ROOT}/sanitize/tools/origami_sim" --trace rw --ops 20000 \
-  --strategy c-hash --arrival bursty:rate=200000,seed=5 >/dev/null
+  --policy c-hash --arrival bursty:rate=200000,seed=5 >/dev/null
 "${BUILD_ROOT}/sanitize/tools/origami_sim" --trace rw --ops 20000 \
-  --strategy c-hash --arrival tenant:tenants=4,rate=100000,burst=8 >/dev/null
+  --policy c-hash --arrival tenant:tenants=4,rate=100000,burst=8 >/dev/null
 echo "arrival-plane sanitizer sweep OK"
 
-# 3c. Flag vocabulary guard: a typoed --fault-*/--commit-* knob must fail
-#     fast with usage, not silently run a different experiment.
+# 3c. Flag vocabulary guard: origami_sim rejects every flag its usage does
+#     not document, so a typo (or the retired --strategy) fails fast with
+#     usage and exit 2 rather than silently running all six policies.
 echo "=== [chaos] unknown-flag rejection ==="
-if "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
-    --fault-crash-prb 0.1 >/dev/null 2>&1; then
-  echo "origami_sim accepted a typoed --fault-* flag"; exit 1
-fi
-echo "typoed fault flag rejected with usage"
+for flag in --fault-crash-prb=0.1 --strategy=c-hash --polcy=c-hash; do
+  set +e
+  "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 "${flag}" \
+    >/dev/null 2>&1
+  rc_flag=$?
+  set -e
+  [[ "${rc_flag}" -eq 2 ]] ||
+    { echo "origami_sim ${flag} exited ${rc_flag}, want 2"; exit 1; }
+done
+echo "unknown flags rejected with usage and exit 2"
 
 # 3c-p. Policy spec guard: an unknown --policy name or parameter must exit 2
 #       with usage, never fall back to a default policy.
@@ -173,12 +179,17 @@ rc_name=$?
 "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
   --policy origami:bogus=1 >/dev/null 2>&1
 rc_param=$?
+"${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
+  --policy greedy-spill:budget=abc >/dev/null 2>&1
+rc_value=$?
 set -e
 [[ "${rc_name}" -eq 2 ]] ||
   { echo "--policy=bogus exited ${rc_name}, want 2"; exit 1; }
 [[ "${rc_param}" -eq 2 ]] ||
   { echo "--policy=origami:bogus=1 exited ${rc_param}, want 2"; exit 1; }
-echo "unknown policy name and parameter rejected with exit 2"
+[[ "${rc_value}" -eq 2 ]] ||
+  { echo "--policy=greedy-spill:budget=abc exited ${rc_value}, want 2"; exit 1; }
+echo "unknown policy name, parameter and value rejected with exit 2"
 
 # 3c-a. Arrival spec guard: an unknown --arrival name, an unknown or
 #       out-of-range parameter, and --arrival=trace on a workload without
@@ -263,6 +274,15 @@ out15="$(cd "${BUILD_ROOT}/release" && \
 echo "${out15}"
 grep -q 'invariants: I1-I8 hold' <<<"${out15}" ||
   { echo "fig15 smoke missing the I1-I8 verdict"; exit 1; }
+
+# 3d-json. Every smoke report holds bench/config/host/results, and results
+#          equal the rows of the CSV the bench writes beside it.
+echo "=== [release] bench JSON schema ==="
+(cd "${BUILD_ROOT}/release" && \
+  python3 "${ROOT}/tools/check_bench_json.py" BENCH_pipeline.json \
+    BENCH_async_commit.json BENCH_async_commit_kv.json BENCH_kv_commit.json \
+    BENCH_policy_faceoff.json BENCH_saturation.json \
+    BENCH_workload_families.json)
 
 # 3e. --shard-threads guard: a malformed thread count must exit 2 with
 #     usage, never silently run single-threaded under the wrong label.
