@@ -49,4 +49,8 @@ class PathResolver {
 /// Splits an absolute path into components, ignoring empty and "." parts.
 std::vector<std::string_view> split_path(std::string_view path);
 
+/// True when `name` can be one component of a path: split_path never
+/// yields "", "." or a part containing '/'.
+[[nodiscard]] bool is_path_component(std::string_view name);
+
 }  // namespace origami::fsns

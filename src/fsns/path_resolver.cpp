@@ -15,6 +15,11 @@ std::vector<std::string_view> split_path(std::string_view path) {
   return parts;
 }
 
+bool is_path_component(std::string_view name) {
+  return !name.empty() && name != "." &&
+         name.find('/') == std::string_view::npos;
+}
+
 PathResolver::PathResolver(const DirTree& tree) : tree_(&tree) {
   index_.reserve(tree.size());
   for (NodeId id = 1; id < tree.size(); ++id) {

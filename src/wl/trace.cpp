@@ -4,6 +4,9 @@
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
+#include <unordered_set>
+
+#include "origami/fsns/path_resolver.hpp"
 
 namespace origami::wl {
 
@@ -52,24 +55,50 @@ void write_pod(std::ofstream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-template <typename T>
-bool read_pod(std::ifstream& in, T& v) {
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
 void write_string(std::ofstream& out, const std::string& s) {
   write_pod(out, static_cast<std::uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-bool read_string(std::ifstream& in, std::string& s) {
-  std::uint32_t len = 0;
-  if (!read_pod(in, len)) return false;
-  s.resize(len);
-  in.read(s.data(), len);
-  return static_cast<bool>(in);
-}
+/// Reads a trace file front to back and tracks the bytes left in it, so no
+/// count or length the file declares can size an allocation past its end.
+class Reader {
+ public:
+  explicit Reader(std::ifstream& in) : in_(in) {
+    in_.seekg(0, std::ios::end);
+    const std::streamoff size = in_.tellg();
+    in_.seekg(0, std::ios::beg);
+    left_ = size > 0 ? static_cast<std::uint64_t>(size) : 0;
+  }
+
+  template <typename T>
+  bool pod(T& v) {
+    if (left_ < sizeof(T)) return false;
+    in_.read(reinterpret_cast<char*>(&v), sizeof(T));
+    left_ -= sizeof(T);
+    return static_cast<bool>(in_);
+  }
+
+  bool string(std::string& s) {
+    std::uint32_t len = 0;
+    if (!pod(len) || len > left_) return false;
+    s.resize(len);
+    in_.read(s.data(), len);
+    left_ -= len;
+    return static_cast<bool>(in_);
+  }
+
+  /// True when `count` records of at least `record_bytes` each fit in the
+  /// rest of the file.
+  [[nodiscard]] bool fits(std::uint64_t count,
+                          std::uint64_t record_bytes) const {
+    return count <= left_ / record_bytes;
+  }
+
+ private:
+  std::ifstream& in_;
+  std::uint64_t left_ = 0;
+};
 
 }  // namespace
 
@@ -105,30 +134,55 @@ common::Status save_trace(const Trace& trace, const std::string& path) {
 common::Result<Trace> load_trace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return common::Status::not_found("cannot open " + path);
+  Reader r(in);
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
-  if (!read_pod(in, magic) || magic != kTraceMagic) {
+  if (!r.pod(magic) || magic != kTraceMagic) {
     return common::Status::corruption("bad trace magic in " + path);
   }
-  if (!read_pod(in, version) || version < 1 || version > kTraceVersion) {
+  if (!r.pod(version) || version < 1 || version > kTraceVersion) {
     return common::Status::corruption("unsupported trace version in " + path);
   }
   Trace trace;
-  if (!read_string(in, trace.name)) {
+  if (!r.string(trace.name)) {
     return common::Status::corruption("truncated trace header");
   }
 
+  // Smallest node record: parent, is_dir byte and an empty name's length.
+  constexpr std::uint64_t kNodeBytes =
+      sizeof(fsns::NodeId) + sizeof(std::uint8_t) + sizeof(std::uint32_t);
   std::uint64_t node_count = 0;
-  if (!read_pod(in, node_count) || node_count == 0) {
+  if (!r.pod(node_count) || node_count == 0) {
     return common::Status::corruption("truncated node table");
   }
+  if (!r.fits(node_count - 1, kNodeBytes)) {
+    return common::Status::corruption("node table runs past the end of " +
+                                      path);
+  }
+  // The loaded tree must be one a path can walk: every node's full path
+  // resolves back to that node.
+  std::unordered_set<std::string> entries;  // parent id bytes + name
   for (std::uint64_t i = 1; i < node_count; ++i) {
     fsns::NodeId parent = 0;
     std::uint8_t is_dir = 0;
     std::string name;
-    if (!read_pod(in, parent) || !read_pod(in, is_dir) ||
-        !read_string(in, name) || parent >= trace.tree.size()) {
+    if (!r.pod(parent) || !r.pod(is_dir) || !r.string(name) ||
+        parent >= trace.tree.size()) {
       return common::Status::corruption("truncated or invalid node record");
+    }
+    const auto bad_node = [i](const char* why) {
+      return common::Status::corruption("node " + std::to_string(i) + why);
+    };
+    if (!trace.tree.is_dir(parent)) {
+      return bad_node(" has a file as its parent");
+    }
+    if (!fsns::is_path_component(name)) {
+      return bad_node(" has a name no path spells");
+    }
+    std::string entry(reinterpret_cast<const char*>(&parent), sizeof parent);
+    entry += name;
+    if (!entries.insert(std::move(entry)).second) {
+      return bad_node(" repeats a sibling's name");
     }
     if (is_dir != 0) {
       trace.tree.add_dir(parent, std::move(name));
@@ -138,17 +192,23 @@ common::Result<Trace> load_trace(const std::string& path) {
   }
   trace.tree.finalize();
 
+  constexpr std::uint64_t kOpBytes =
+      sizeof(std::uint8_t) + sizeof(MetaOp::target) + sizeof(MetaOp::aux) +
+      sizeof(MetaOp::data_bytes);
   std::uint64_t op_count = 0;
-  if (!read_pod(in, op_count)) {
+  if (!r.pod(op_count)) {
     return common::Status::corruption("truncated op table");
+  }
+  if (!r.fits(op_count, kOpBytes)) {
+    return common::Status::corruption("op table runs past the end of " + path);
   }
   trace.ops.reserve(op_count);
   for (std::uint64_t i = 0; i < op_count; ++i) {
     std::uint8_t type = 0;
     MetaOp op;
-    if (!read_pod(in, type) || !read_pod(in, op.target) ||
-        !read_pod(in, op.aux) || !read_pod(in, op.data_bytes) ||
-        type >= fsns::kOpTypeCount || op.target >= trace.tree.size()) {
+    if (!r.pod(type) || !r.pod(op.target) || !r.pod(op.aux) ||
+        !r.pod(op.data_bytes) || type >= fsns::kOpTypeCount ||
+        op.target >= trace.tree.size()) {
       return common::Status::corruption("truncated or invalid op record");
     }
     op.type = static_cast<fsns::OpType>(type);
@@ -156,8 +216,12 @@ common::Result<Trace> load_trace(const std::string& path) {
   }
   if (version >= 2) {
     std::uint64_t arrival_count = 0;
-    if (!read_pod(in, arrival_count)) {
+    if (!r.pod(arrival_count)) {
       return common::Status::corruption("truncated arrival table");
+    }
+    if (!r.fits(arrival_count, sizeof(sim::SimTime))) {
+      return common::Status::corruption("arrival table runs past the end of " +
+                                        path);
     }
     if (arrival_count != 0 && arrival_count != op_count) {
       return common::Status::corruption("arrival table size mismatch");
@@ -166,7 +230,7 @@ common::Result<Trace> load_trace(const std::string& path) {
     sim::SimTime prev = 0;
     for (std::uint64_t i = 0; i < arrival_count; ++i) {
       sim::SimTime at = 0;
-      if (!read_pod(in, at) || at < prev) {
+      if (!r.pod(at) || at < prev) {
         return common::Status::corruption("invalid arrival record");
       }
       trace.arrivals.push_back(at);

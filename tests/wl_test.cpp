@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "origami/common/rng.hpp"
+#include "origami/fsns/path_resolver.hpp"
 #include "origami/wl/arrival.hpp"
 #include "origami/wl/generators.hpp"
 #include "origami/wl/trace.hpp"
@@ -467,48 +468,210 @@ TEST(TraceIo, RejectsDecreasingArrivalTimestamps) {
   std::remove(path.c_str());
 }
 
+// ------------------------------------------------ hand-made trace files --
+
+/// Writes a trace file field by field, so a test can hand-craft what
+/// save_trace never writes. The file is removed with the writer.
+class RawTraceFile {
+ public:
+  explicit RawTraceFile(const char* name)
+      : path_(::testing::TempDir() + "/" + name),
+        out_(path_, std::ios::binary | std::ios::trunc) {}
+  ~RawTraceFile() { std::remove(path_.c_str()); }
+
+  RawTraceFile& u8(std::uint8_t v) { return put(v); }
+  RawTraceFile& u32(std::uint32_t v) { return put(v); }
+  RawTraceFile& u64(std::uint64_t v) { return put(v); }
+  RawTraceFile& str(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    return *this;
+  }
+  /// Magic, version and trace name.
+  RawTraceFile& header(std::uint32_t version) {
+    return u32(0x4f524754).u32(version).str("handmade");
+  }
+  RawTraceFile& node(std::uint32_t parent, bool is_dir,
+                     const std::string& name) {
+    return u32(parent).u8(is_dir ? 1 : 0).str(name);
+  }
+
+  common::Result<Trace> load() {
+    out_.close();
+    return load_trace(path_);
+  }
+
+ private:
+  template <typename T>
+  RawTraceFile& put(T v) {
+    out_.write(reinterpret_cast<const char*>(&v), sizeof v);
+    return *this;
+  }
+
+  std::string path_;
+  std::ofstream out_;
+};
+
+struct RawNode {
+  std::uint32_t parent;
+  bool is_dir;
+  std::string name;
+};
+
+/// Loads a version-1 file holding `nodes` (ids from 1; the root is
+/// implicit) and no ops.
+common::Result<Trace> load_tree(const std::vector<RawNode>& nodes) {
+  RawTraceFile file("origami_trace_tree.bin");
+  file.header(1).u64(nodes.size() + 1);
+  for (const RawNode& n : nodes) file.node(n.parent, n.is_dir, n.name);
+  return file.u64(0).load();
+}
+
+void expect_corruption(const common::Result<Trace>& loaded,
+                       const std::string& why) {
+  ASSERT_FALSE(loaded.is_ok()) << "loaded; want: " << why;
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find(why), std::string::npos)
+      << loaded.status().to_string();
+}
+
 TEST(TraceIo, LoadsVersion1FilesWithoutArrivalTable) {
   // Handcraft a version-1 stream: identical layout up to the op table, no
   // arrival section at the end. Old trace files must keep loading.
-  const std::string path = ::testing::TempDir() + "/origami_trace_v1.bin";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    auto put_u32 = [&](std::uint32_t v) {
-      out.write(reinterpret_cast<const char*>(&v), sizeof v);
-    };
-    auto put_u64 = [&](std::uint64_t v) {
-      out.write(reinterpret_cast<const char*>(&v), sizeof v);
-    };
-    auto put_u8 = [&](std::uint8_t v) {
-      out.write(reinterpret_cast<const char*>(&v), sizeof v);
-    };
-    auto put_str = [&](const std::string& s) {
-      put_u32(static_cast<std::uint32_t>(s.size()));
-      out.write(s.data(), static_cast<std::streamsize>(s.size()));
-    };
-    put_u32(0x4f524754);  // "ORGT"
-    put_u32(1);           // version 1: no arrival table
-    put_str("legacy-v1");
-    put_u64(2);  // nodes: root + one file
-    put_u32(0);  // node 1: parent = root
-    put_u8(0);   //         file
-    put_str("f");
-    put_u64(2);  // two ops targeting node 1
-    for (int i = 0; i < 2; ++i) {
-      put_u8(static_cast<std::uint8_t>(OpType::kStat));
-      put_u32(1);  // target
-      put_u32(0);  // aux
-      put_u32(0);  // data_bytes
-    }
-    ASSERT_TRUE(out.good());
+  RawTraceFile file("origami_trace_v1.bin");
+  file.u32(0x4f524754);  // "ORGT"
+  file.u32(1);           // version 1: no arrival table
+  file.str("legacy-v1");
+  file.u64(2);               // nodes: root + one file
+  file.node(0, false, "f");  // node 1: a file under the root
+  file.u64(2);               // two ops targeting node 1
+  for (int i = 0; i < 2; ++i) {
+    file.u8(static_cast<std::uint8_t>(OpType::kStat));
+    file.u32(1);  // target
+    file.u32(0);  // aux
+    file.u32(0);  // data_bytes
   }
-  auto loaded = load_trace(path);
+  auto loaded = file.load();
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   const Trace& t = loaded.value();
   EXPECT_EQ(t.name, "legacy-v1");
   EXPECT_EQ(t.ops.size(), 2u);
   EXPECT_TRUE(t.arrivals.empty());
   EXPECT_FALSE(t.timed());
+}
+
+// ------------------------------------------------ malformed trace files --
+
+TEST(TraceIo, RejectsNodeUnderFile) {
+  // Node 2 sits under file node 1: no path reaches it.
+  expect_corruption(load_tree({{0, false, "f"}, {1, false, "g"}}),
+                    "node 2 has a file as its parent");
+}
+
+TEST(TraceIo, RejectsEmptyName) {
+  expect_corruption(load_tree({{0, true, "d"}, {1, false, ""}}),
+                    "node 2 has a name no path spells");
+}
+
+TEST(TraceIo, RejectsDotName) {
+  expect_corruption(load_tree({{0, true, "."}}),
+                    "node 1 has a name no path spells");
+}
+
+TEST(TraceIo, RejectsSlashInName) {
+  expect_corruption(load_tree({{0, true, "d"}, {0, false, "d/f"}}),
+                    "node 2 has a name no path spells");
+}
+
+TEST(TraceIo, RejectsRepeatedSiblingName) {
+  // One name under two parents is fine; twice under one parent is not.
+  ASSERT_TRUE(
+      load_tree({{0, true, "a"}, {1, false, "x"}, {0, false, "x"}}).is_ok());
+  expect_corruption(
+      load_tree({{0, true, "a"}, {1, false, "x"}, {0, false, "x"},
+                 {1, true, "x"}}),
+      "node 4 repeats a sibling's name");
+}
+
+TEST(TraceIo, RejectsOpCountPastEndOfFile) {
+  RawTraceFile file("origami_trace_ops.bin");
+  file.header(1).u64(2).node(0, false, "f").u64(std::uint64_t{1} << 60);
+  expect_corruption(file.load(), "op table runs past the end");
+}
+
+TEST(TraceIo, RejectsArrivalCountPastEndOfFile) {
+  RawTraceFile file("origami_trace_arrivals.bin");
+  file.header(2).u64(1).u64(0).u64(std::uint64_t{1} << 60);
+  expect_corruption(file.load(), "arrival table runs past the end");
+}
+
+TEST(TraceIo, RejectsNameLengthPastEndOfFile) {
+  // A 4 GiB name in a few-byte file: refused before anything is sized.
+  RawTraceFile file("origami_trace_name.bin");
+  file.u32(0x4f524754).u32(1).u32(0xffffffffu);
+  expect_corruption(file.load(), "truncated trace header");
+}
+
+TEST(TraceIo, EveryGeneratorFamilyRoundTrips) {
+  // Every generated tree passes the loader's tree checks, so every node's
+  // full path resolves back to that node.
+  TraceRwConfig rw;
+  rw.projects = 4;
+  rw.modules_per_project = 3;
+  rw.sources_per_module = 8;
+  rw.headers_shared = 40;
+  rw.ops = 2'000;
+  TraceRoConfig ro;
+  ro.dirs = 2'000;
+  ro.files = 8'000;
+  ro.ops = 2'000;
+  TraceWiConfig wi;
+  wi.tenants = 4;
+  wi.dirs_per_tenant = 40;
+  wi.ops = 2'000;
+  TraceMdtestConfig mdtest;
+  mdtest.ranks = 4;
+  mdtest.files_per_rank = 20;
+  TraceFalconConfig falcon;
+  falcon.shards_per_dataset = 4;
+  falcon.files_per_shard = 20;
+  falcon.ops = 2'000;
+  TraceMidasConfig midas;
+  midas.jobs = 3;
+  midas.ranks_per_job = 4;
+  midas.files_per_rank = 10;
+  midas.ops = 2'000;
+  const Trace a = make_trace_rw(rw);
+  const Trace b = make_trace_falcon(falcon);
+  std::vector<Trace> traces;
+  traces.push_back(make_trace_rw(rw));
+  traces.push_back(make_trace_ro(ro));
+  traces.push_back(make_trace_wi(wi));
+  traces.push_back(make_trace_web_motivation(7, 2'000));
+  traces.push_back(make_trace_mdtest(mdtest));
+  traces.push_back(make_trace_falcon(falcon));
+  traces.push_back(make_trace_midas(midas));
+  traces.push_back(interleave_traces({&a, &b}));
+
+  const std::string path = ::testing::TempDir() + "/origami_trace_family.bin";
+  for (const Trace& original : traces) {
+    ASSERT_TRUE(save_trace(original, path).is_ok()) << original.name;
+    auto loaded = load_trace(path);
+    ASSERT_TRUE(loaded.is_ok())
+        << original.name << ": " << loaded.status().to_string();
+    const Trace& t = loaded.value();
+    ASSERT_EQ(t.tree.size(), original.tree.size()) << original.name;
+    const fsns::PathResolver resolver(t.tree);
+    for (std::size_t i = 0; i < t.tree.size(); ++i) {
+      const auto id = static_cast<fsns::NodeId>(i);
+      ASSERT_EQ(t.tree.node(id).name, original.tree.node(id).name);
+      ASSERT_EQ(t.tree.node(id).parent, original.tree.node(id).parent);
+      ASSERT_EQ(t.tree.is_dir(id), original.tree.is_dir(id));
+      ASSERT_EQ(resolver.resolve(t.tree.full_path(id)), id)
+          << original.name << ' ' << t.tree.full_path(id);
+    }
+    EXPECT_EQ(fingerprint(t), fingerprint(original)) << original.name;
+  }
   std::remove(path.c_str());
 }
 

@@ -220,6 +220,35 @@ set -e
   { echo "--arrival=trace on untimed rw exited ${rc_auntimed}, want 2"; exit 1; }
 echo "malformed arrival specs rejected with exit 2"
 
+# 3c-t. Trace file guard: trace files are outside input. One whose node
+#       hangs under a file, and one whose op count runs past its end, must
+#       each fail with an error line and exit 1, not load or abort.
+echo "=== [chaos] malformed trace file rejection ==="
+TRACE_DIR="$(mktemp -d)"
+python3 - "${TRACE_DIR}" <<'PY'
+import struct, sys
+def trace(nodes, ops):
+    out = struct.pack('<III', 0x4f524754, 1, 2) + b'ci'
+    out += struct.pack('<Q', len(nodes) + 1)
+    for parent, name in nodes:  # every node a file
+        out += struct.pack('<IBI', parent, 0, len(name)) + name
+    return out + struct.pack('<Q', ops)
+open(sys.argv[1] + '/under-file.trace', 'wb').write(
+    trace([(0, b'f'), (1, b'g')], 0))
+open(sys.argv[1] + '/huge-ops.trace', 'wb').write(
+    trace([(0, b'f')], 1 << 60))
+PY
+for f in "${TRACE_DIR}/under-file.trace" "${TRACE_DIR}/huge-ops.trace"; do
+  rc_trace=0
+  "${BUILD_ROOT}/sanitize/tools/origami_sim" --trace-file "${f}" \
+    --policy c-hash >/dev/null 2>"${TRACE_DIR}/err" || rc_trace=$?
+  cat "${TRACE_DIR}/err"
+  [[ "${rc_trace}" -eq 1 ]] && grep -q '^error:' "${TRACE_DIR}/err" ||
+    { echo "${f}: exit ${rc_trace}, want 1 with an error line"; exit 1; }
+done
+rm -rf "${TRACE_DIR}"
+echo "malformed trace files rejected with exit 1"
+
 # 3c'. Config guard: async group commit over the real store fsyncs a real
 #      log, so --kv-backing --commit-mode=async without a writable
 #      --kv-wal-dir must fail fast rather than silently measure an
