@@ -126,16 +126,21 @@ struct LiveReplayStats {
 ///
 /// Trace semantics are adapted to a real mutable namespace: every op's
 /// ancestor directories are materialised on first use; `create` upserts
-/// (recreates after unlink), `unlink`/`rmdir` ignore already-gone targets,
-/// `rename` skips occupied destinations. Every `epoch_ops` operations the
-/// `on_epoch` hook runs (wire a registry policy's live form,
-/// `policy::LivePolicy::on_epoch`, in, or leave it null for an unbalanced
-/// run).
+/// (recreates after unlink), `unlink` ignores already-gone targets, and
+/// `rmdir` is skipped because later ops keep using the directory. No
+/// entry is ever renamed: the trace tree keys every later op by node, so
+/// a `rename` is modelled as a setattr on its source entry. Every
+/// `epoch_ops` operations the `on_epoch` hook runs (wire a registry
+/// policy's live form, `policy::LivePolicy::on_epoch`, in, or leave it null
+/// for an unbalanced run).
 ///
-/// Execution is split across threads: a serial issuer resolves and mutates
-/// the namespace (preserving the exact seed op order), prices each request
-/// on the cost-model clock, and streams fully-stamped per-shard tasks over
-/// bounded MPMC lanes to `shard_threads` serving workers, which own the
+/// Execution is split across threads. A serial issuer mutates the
+/// namespace in the exact seed op order. It addresses each request by
+/// (parent inode, name), taking the parent's inode from those it cached
+/// when it created each directory, so a request costs one dirent read
+/// rather than one per path component. It prices each request on the
+/// cost-model clock and streams fully-stamped per-shard tasks over bounded
+/// MPMC lanes to `shard_threads` serving workers, which own the
 /// measurement plane (latency histograms, busy clocks) and the durability
 /// plane (journal appends and group-commit flushes). Per-shard partials
 /// merge in shard order, so the output is byte-identical at any

@@ -71,8 +71,31 @@ class OrigamiFs {
   common::Status unlink(std::string_view path);
   common::Status rmdir(std::string_view path);
   common::Result<std::vector<DirEntry>> readdir(std::string_view path) const;
+  /// Moves a file or a whole directory. A directory cannot move into its
+  /// own subtree (invalid_argument, nothing moves).
   common::Status rename(std::string_view from, std::string_view to);
   common::Status setattr(std::string_view path, const fsns::InodeAttr& attr);
+
+  // --- metadata operations (parent inode, name) ----------------------------
+  /// The operations above addressed the way OrigamiFS keys a dirent (§4.2):
+  /// a server that already knows the parent directory's inode reads one
+  /// dirent at the parent's owner instead of one per path component. The
+  /// root itself is spelled (kInvalidIno, ""), as "/" is.
+  ///
+  /// Status, values and counters equal the string form's for the same
+  /// entry: `lookups` is charged once at the owner of every directory from
+  /// the root down to `parent`, found by walking parent links rather than
+  /// reading dirents. A `parent` that is not a live directory is not_found,
+  /// and a name no path component can spell (empty, ".", or containing '/')
+  /// is invalid_argument; neither touches a counter.
+  common::Result<Ino> mkdir_at(Ino parent, std::string_view name);
+  common::Result<Ino> create_at(Ino parent, std::string_view name);
+  common::Result<Stat> stat_at(Ino parent, std::string_view name) const;
+  common::Status unlink_at(Ino parent, std::string_view name);
+  common::Result<std::vector<DirEntry>> readdir_at(Ino parent,
+                                                   std::string_view name) const;
+  common::Status setattr_at(Ino parent, std::string_view name,
+                            const fsns::InodeAttr& attr);
 
   // --- balancing interface (the Migrator, §4.1) ---------------------------
   /// Shard owning a directory's fragment (where its children's dirents
@@ -158,19 +181,41 @@ class OrigamiFs {
  private:
   struct Resolved {
     Ino parent = kInvalidIno;   ///< inode of the parent directory
-    std::string leaf;           ///< final component name ("" for root)
+    std::string_view leaf;      ///< final component ("" for root); views
+                                ///< the caller's path or name argument
     Ino ino = kInvalidIno;      ///< inode of the entry (0 if absent)
     bool is_dir = false;
     fsns::InodeAttr attr;
   };
+  using Resolution = common::Result<Resolved>;
 
   [[nodiscard]] std::uint32_t dir_owner(Ino dir) const;
-  [[nodiscard]] kv::Db& shard_for(Ino parent_dir) const;
 
   /// Walks the path; returns kNotFound if an intermediate component is
   /// missing or not a directory. The leaf itself may be absent
   /// (ino == kInvalidIno) — callers decide whether that is an error.
-  common::Result<Resolved> resolve(std::string_view path) const;
+  Resolution resolve(std::string_view path) const;
+  /// The same resolution for an entry addressed by (parent inode, name).
+  Resolution resolve_at(Ino parent, std::string_view name) const;
+  /// Reads the dirent (dir, name) at dir's owner into `out`: one lookup.
+  common::Status read_dirent(Ino dir, std::string_view name,
+                             Resolved& out) const;
+
+  // Operation bodies shared by both addressings; `what` names the target
+  // in error messages.
+  common::Result<Ino> mkdir_entry(const Resolution& resolved,
+                                  std::string_view what);
+  common::Result<Ino> create_entry(const Resolution& resolved,
+                                   std::string_view what);
+  common::Result<Stat> stat_entry(const Resolution& resolved,
+                                  std::string_view what) const;
+  common::Status unlink_entry(const Resolution& resolved,
+                              std::string_view what);
+  common::Result<std::vector<DirEntry>> readdir_entry(
+      const Resolution& resolved, std::string_view what) const;
+  common::Status setattr_entry(const Resolution& resolved,
+                               std::string_view what,
+                               const fsns::InodeAttr& attr);
 
   common::Status insert_entry(Ino parent, std::string_view name, Ino ino,
                               bool is_dir, const fsns::InodeAttr& attr);

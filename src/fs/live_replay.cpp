@@ -24,7 +24,8 @@ namespace {
 
 /// Lazily materialises trace-tree nodes in the live service, caching which
 /// ids already exist and the live inode each directory node resolved to
-/// (the fencing layer keys its client cache by inode).
+/// (the fencing layer keys its client cache by inode). Requests go out
+/// addressed by (parent inode, name), so each costs one dirent read.
 class Materialiser {
  public:
   Materialiser(const fsns::DirTree& tree, OrigamiFs& fsys)
@@ -36,18 +37,46 @@ class Materialiser {
     ino_[fsns::kRootNode] = kRootIno;
   }
 
+  /// Runs `op(parent ino, name)` on node `id`'s entry; the root is
+  /// (kInvalidIno, ""). When a directory above `id` never became live (a
+  /// create aimed at a directory node put a file in its place), a path
+  /// walk would stop at the topmost such directory with not_found, after
+  /// one lookup per directory above it: that is charged by resolving the
+  /// dead entry under its live parent, and `op` is not run.
+  template <typename Op>
+  auto at(fsns::NodeId id, Op&& op) {
+    if (id == fsns::kRootNode) return op(kInvalidIno, std::string_view{});
+    const fsns::NodeId parent = tree_.parent(id);
+    if (ino_[parent] != kInvalidIno) return op(ino_[parent], name(id));
+    fsns::NodeId dead = parent;
+    for (fsns::NodeId n = tree_.parent(parent); n != fsns::kRootNode;
+         n = tree_.parent(n)) {
+      if (ino_[n] == kInvalidIno) dead = n;
+    }
+    // Not a live directory, so readdir charges the walk and nothing else.
+    (void)fsys_.readdir_at(ino_[tree_.parent(dead)], name(dead));
+    return decltype(op(kInvalidIno, std::string_view{}))(
+        common::Status::not_found(std::string(name(dead))));
+  }
+
   /// Ensures every *directory* ancestor of `id` exists (not `id` itself
-  /// unless it is a directory and `include_self`).
+  /// unless it is a directory and `include_self`), top down. Every
+  /// ancestor's flag is checked, not only those below the first created
+  /// one: an unlink aimed at a directory un-marks it while its descendants
+  /// stay marked, and the next op below it retries (and fails) its mkdir.
   void ensure_dirs(fsns::NodeId id, bool include_self) {
-    const auto chain = tree_.ancestors(id);
-    const std::size_t end = include_self ? chain.size() : chain.size() - 1;
-    for (std::size_t i = 1; i < end; ++i) {
-      const fsns::NodeId node = chain[i];
-      if (created_[node] || !tree_.is_dir(node)) continue;
-      if (auto r = fsys_.mkdir(tree_.full_path(node)); r.is_ok()) {
-        ino_[node] = r.value();
-      }
-      created_[node] = true;
+    if (id == fsns::kRootNode) return;
+    missing_.clear();
+    for (fsns::NodeId node = include_self ? id : tree_.parent(id);
+         node != fsns::kRootNode; node = tree_.parent(node)) {
+      if (!created_[node] && tree_.is_dir(node)) missing_.push_back(node);
+    }
+    for (auto it = missing_.rbegin(); it != missing_.rend(); ++it) {
+      auto r = at(*it, [&](Ino parent, std::string_view name) {
+        return fsys_.mkdir_at(parent, name);
+      });
+      if (r.is_ok()) ino_[*it] = r.value();
+      created_[*it] = true;
     }
   }
 
@@ -57,10 +86,15 @@ class Materialiser {
   [[nodiscard]] Ino ino_of(fsns::NodeId id) const { return ino_[id]; }
 
  private:
+  [[nodiscard]] std::string_view name(fsns::NodeId id) const {
+    return tree_.node(id).name;
+  }
+
   const fsns::DirTree& tree_;
   OrigamiFs& fsys_;
   std::vector<bool> created_;
   std::vector<Ino> ino_;
+  std::vector<fsns::NodeId> missing_;  ///< scratch for ensure_dirs
 };
 
 /// One fully-priced request as handed to a shard-serving worker. The
@@ -138,10 +172,12 @@ class ShardNamespace final : public cluster::FaultNamespace {
 /// per-shard journals, failover log) and `TwoPhaseLog` with the epoch
 /// engine, and runs a real serving plane:
 ///
-///  - a serial *issuer* (the calling thread) resolves and mutates the
-///    namespace in seed op order, runs the retry/fencing client model, and
-///    prices every request on a cost-model virtual clock (per-client ready
-///    times, per-shard logical clocks, Eq. 2 service charges, straggler
+///  - a serial *issuer* (the calling thread) mutates the namespace in seed
+///    op order through the ino-addressed `OrigamiFs` entry points (one
+///    dirent read per request, the parent's inode taken from the
+///    `Materialiser`), runs the retry/fencing client model, and prices
+///    every request on a cost-model virtual clock (per-client ready times,
+///    per-shard logical clocks, Eq. 2 service charges, straggler
 ///    multipliers);
 ///  - `shard_threads` *serving workers* consume fully-stamped per-shard
 ///    task batches over bounded MPMC lanes (worker `s % T` serves shard
@@ -592,29 +628,41 @@ class LiveEngine final : public LiveFaultContext {
   }
 
   common::Status execute(const wl::MetaOp& op) {
-    const auto& tree = trace_.tree;
-    const std::string path = tree.full_path(op.target);
+    const fsns::NodeId target = op.target;
+    const bool target_is_dir = trace_.tree.is_dir(target);
+    const auto status_of = [](const auto& r) {
+      return r.is_ok() ? common::Status::ok() : r.status();
+    };
+    const auto create = [&] {
+      auto r = mat_.at(target, [&](Ino parent, std::string_view name) {
+        return fsys_.create_at(parent, name);
+      });
+      if (r.is_ok()) mat_.mark(target, true);
+      return status_of(r);
+    };
+    const auto setattr = [&] {
+      return mat_.at(target, [&](Ino parent, std::string_view name) {
+        return fsys_.setattr_at(parent, name, {});
+      });
+    };
     common::Status status = common::Status::ok();
     switch (op.type) {
       case fsns::OpType::kCreate: {
-        mat_.ensure_dirs(op.target, false);
-        if (mat_.exists(op.target)) {
-          status = fsys_.setattr(path, {});  // replayed re-create = overwrite
-        } else {
-          auto r = fsys_.create(path);
-          status = r.is_ok() ? common::Status::ok() : r.status();
-          if (r.is_ok()) mat_.mark(op.target, true);
-        }
+        mat_.ensure_dirs(target, false);
+        // A replayed re-create overwrites.
+        status = mat_.exists(target) ? setattr() : create();
         break;
       }
       case fsns::OpType::kMkdir: {
-        mat_.ensure_dirs(op.target, true);
+        mat_.ensure_dirs(target, true);
         break;
       }
       case fsns::OpType::kUnlink: {
-        if (mat_.exists(op.target)) {
-          status = fsys_.unlink(path);
-          mat_.mark(op.target, false);
+        if (mat_.exists(target)) {
+          status = mat_.at(target, [&](Ino parent, std::string_view name) {
+            return fsys_.unlink_at(parent, name);
+          });
+          mat_.mark(target, false);
         }
         break;
       }
@@ -623,40 +671,35 @@ class LiveEngine final : public LiveFaultContext {
         break;
       }
       case fsns::OpType::kRename: {
-        // Renames would desynchronise the path mapping; model the load as
-        // a metadata write on the entry instead.
-        mat_.ensure_dirs(op.target, tree.is_dir(op.target));
-        if (!tree.is_dir(op.target) && !mat_.exists(op.target)) {
-          auto r = fsys_.create(path);
-          if (r.is_ok()) mat_.mark(op.target, true);
-        }
-        status = fsys_.setattr(path, {});
+        // The engine never renames: the trace tree keys every later op by
+        // node, so the load is modelled as a metadata write on the entry.
+        mat_.ensure_dirs(target, target_is_dir);
+        if (!target_is_dir && !mat_.exists(target)) (void)create();
+        status = setattr();
         break;
       }
       case fsns::OpType::kStat:
       case fsns::OpType::kOpen: {
-        mat_.ensure_dirs(op.target, tree.is_dir(op.target));
-        if (!tree.is_dir(op.target) && !mat_.exists(op.target)) {
-          auto r = fsys_.create(path);
-          if (r.is_ok()) mat_.mark(op.target, true);
-        }
-        status = fsys_.stat(path).is_ok() ? common::Status::ok()
-                                          : common::Status::not_found(path);
+        mat_.ensure_dirs(target, target_is_dir);
+        if (!target_is_dir && !mat_.exists(target)) (void)create();
+        status = status_of(
+            mat_.at(target, [&](Ino parent, std::string_view name) {
+              return fsys_.stat_at(parent, name);
+            }));
         break;
       }
       case fsns::OpType::kSetattr: {
-        mat_.ensure_dirs(op.target, tree.is_dir(op.target));
-        if (!tree.is_dir(op.target) && !mat_.exists(op.target)) {
-          auto r = fsys_.create(path);
-          if (r.is_ok()) mat_.mark(op.target, true);
-        }
-        status = fsys_.setattr(path, {});
+        mat_.ensure_dirs(target, target_is_dir);
+        if (!target_is_dir && !mat_.exists(target)) (void)create();
+        status = setattr();
         break;
       }
       case fsns::OpType::kReaddir: {
-        mat_.ensure_dirs(op.target, true);
-        status = fsys_.readdir(path).is_ok() ? common::Status::ok()
-                                             : common::Status::not_found(path);
+        mat_.ensure_dirs(target, true);
+        status = status_of(
+            mat_.at(target, [&](Ino parent, std::string_view name) {
+              return fsys_.readdir_at(parent, name);
+            }));
         break;
       }
     }

@@ -62,14 +62,26 @@ std::uint32_t OrigamiFs::dir_owner(Ino dir) const {
   return it == owner_.end() ? 0 : it->second;
 }
 
-kv::Db& OrigamiFs::shard_for(Ino parent_dir) const {
-  return *shards_[dir_owner(parent_dir)];
+common::Status OrigamiFs::read_dirent(Ino dir, std::string_view name,
+                                      Resolved& out) const {
+  const std::uint32_t shard = dir_owner(dir);
+  ++stats_[shard].lookups;
+  auto value = shards_[shard]->get(dirent_key(dir, name));
+  out.parent = dir;
+  out.leaf = name;
+  if (!value.is_ok()) {
+    out.ino = kInvalidIno;  // absent — caller decides
+    out.is_dir = false;
+    return common::Status::ok();
+  }
+  if (!decode_dirent(value.value(), out.ino, out.is_dir, out.attr)) {
+    return common::Status::corruption("bad dirent for " + std::string(name));
+  }
+  return common::Status::ok();
 }
 
-common::Result<OrigamiFs::Resolved> OrigamiFs::resolve(
-    std::string_view path) const {
+OrigamiFs::Resolution OrigamiFs::resolve(std::string_view path) const {
   Resolved out;
-  out.parent = kInvalidIno;
   out.ino = kRootIno;
   out.is_dir = true;
 
@@ -79,27 +91,39 @@ common::Result<OrigamiFs::Resolved> OrigamiFs::resolve(
       return common::Status::not_found("not a directory: " +
                                        std::string(parts[i - 1]));
     }
-    const Ino parent = out.ino;
-    const std::uint32_t shard = dir_owner(parent);
-    ++stats_[shard].lookups;
-    auto value = shards_[shard]->get(dirent_key(parent, parts[i]));
-
-    out.parent = parent;
-    out.leaf.assign(parts[i]);
-    if (!value.is_ok()) {
-      if (i + 1 < parts.size()) {
-        return common::Status::not_found("missing component: " +
-                                         std::string(parts[i]));
-      }
-      out.ino = kInvalidIno;  // leaf absent — caller decides
-      out.is_dir = false;
-      return out;
-    }
-    if (!decode_dirent(value.value(), out.ino, out.is_dir, out.attr)) {
-      return common::Status::corruption("bad dirent for " +
-                                        std::string(parts[i]));
+    if (auto s = read_dirent(out.ino, parts[i], out); !s.is_ok()) return s;
+    if (out.ino == kInvalidIno && i + 1 < parts.size()) {
+      return common::Status::not_found("missing component: " +
+                                       std::string(parts[i]));
     }
   }
+  return out;
+}
+
+OrigamiFs::Resolution OrigamiFs::resolve_at(Ino parent,
+                                            std::string_view name) const {
+  Resolved out;
+  if (parent == kInvalidIno && name.empty()) {  // the root, as "/"
+    out.ino = kRootIno;
+    out.is_dir = true;
+    return out;
+  }
+  const auto it = dirs_.find(parent);
+  if (it == dirs_.end()) {
+    return common::Status::not_found("no such directory inode");
+  }
+  if (!fsns::is_path_component(name)) {
+    return common::Status::invalid_argument("bad entry name: " +
+                                            std::string(name));
+  }
+  // The string form reads one dirent per component, each at the owner of
+  // the directory holding it: every directory above `parent`, then
+  // `parent` itself for the leaf.
+  for (Ino dir = it->second.parent; dir != kInvalidIno;
+       dir = dirs_.at(dir).parent) {
+    ++stats_[dir_owner(dir)].lookups;
+  }
+  if (auto s = read_dirent(parent, name, out); !s.is_ok()) return s;
   return out;
 }
 
@@ -123,14 +147,21 @@ common::Status OrigamiFs::erase_entry(Ino parent, std::string_view name) {
 }
 
 common::Result<Ino> OrigamiFs::mkdir(std::string_view path) {
-  auto resolved = resolve(path);
+  return mkdir_entry(resolve(path), path);
+}
+common::Result<Ino> OrigamiFs::mkdir_at(Ino parent, std::string_view name) {
+  return mkdir_entry(resolve_at(parent, name), name);
+}
+
+common::Result<Ino> OrigamiFs::mkdir_entry(const Resolution& resolved,
+                                           std::string_view what) {
   if (!resolved.is_ok()) return resolved.status();
-  Resolved& r = resolved.value();
+  const Resolved& r = resolved.value();
   if (r.leaf.empty()) {
     return common::Status::already_exists("/");
   }
   if (r.ino != kInvalidIno) {
-    return common::Status::already_exists(std::string(path));
+    return common::Status::already_exists(std::string(what));
   }
   const Ino ino = next_ino_++;
   fsns::InodeAttr attr;
@@ -152,11 +183,18 @@ common::Result<Ino> OrigamiFs::mkdir(std::string_view path) {
 }
 
 common::Result<Ino> OrigamiFs::create(std::string_view path) {
-  auto resolved = resolve(path);
+  return create_entry(resolve(path), path);
+}
+common::Result<Ino> OrigamiFs::create_at(Ino parent, std::string_view name) {
+  return create_entry(resolve_at(parent, name), name);
+}
+
+common::Result<Ino> OrigamiFs::create_entry(const Resolution& resolved,
+                                            std::string_view what) {
   if (!resolved.is_ok()) return resolved.status();
-  Resolved& r = resolved.value();
+  const Resolved& r = resolved.value();
   if (r.leaf.empty() || r.ino != kInvalidIno) {
-    return common::Status::already_exists(std::string(path));
+    return common::Status::already_exists(std::string(what));
   }
   const Ino ino = next_ino_++;
   if (auto s = insert_entry(r.parent, r.leaf, ino, false, {}); !s.is_ok()) {
@@ -168,11 +206,19 @@ common::Result<Ino> OrigamiFs::create(std::string_view path) {
 }
 
 common::Result<Stat> OrigamiFs::stat(std::string_view path) const {
-  auto resolved = resolve(path);
+  return stat_entry(resolve(path), path);
+}
+common::Result<Stat> OrigamiFs::stat_at(Ino parent,
+                                        std::string_view name) const {
+  return stat_entry(resolve_at(parent, name), name);
+}
+
+common::Result<Stat> OrigamiFs::stat_entry(const Resolution& resolved,
+                                           std::string_view what) const {
   if (!resolved.is_ok()) return resolved.status();
   const Resolved& r = resolved.value();
   if (r.ino == kInvalidIno) {
-    return common::Status::not_found(std::string(path));
+    return common::Status::not_found(std::string(what));
   }
   charge_read(r.is_dir ? r.ino : r.parent);
   Stat out;
@@ -184,13 +230,20 @@ common::Result<Stat> OrigamiFs::stat(std::string_view path) const {
 }
 
 common::Status OrigamiFs::unlink(std::string_view path) {
-  auto resolved = resolve(path);
+  return unlink_entry(resolve(path), path);
+}
+common::Status OrigamiFs::unlink_at(Ino parent, std::string_view name) {
+  return unlink_entry(resolve_at(parent, name), name);
+}
+
+common::Status OrigamiFs::unlink_entry(const Resolution& resolved,
+                                       std::string_view what) {
   if (!resolved.is_ok()) return resolved.status();
   const Resolved& r = resolved.value();
-  if (r.ino == kInvalidIno) return common::Status::not_found(std::string(path));
+  if (r.ino == kInvalidIno) return common::Status::not_found(std::string(what));
   if (r.is_dir) {
     return common::Status::failed_precondition("is a directory: " +
-                                               std::string(path));
+                                               std::string(what));
   }
   --dirs_[r.parent].sub_files;
   charge_write(r.parent);
@@ -226,13 +279,21 @@ common::Status OrigamiFs::rmdir(std::string_view path) {
 
 common::Result<std::vector<DirEntry>> OrigamiFs::readdir(
     std::string_view path) const {
-  auto resolved = resolve(path);
+  return readdir_entry(resolve(path), path);
+}
+common::Result<std::vector<DirEntry>> OrigamiFs::readdir_at(
+    Ino parent, std::string_view name) const {
+  return readdir_entry(resolve_at(parent, name), name);
+}
+
+common::Result<std::vector<DirEntry>> OrigamiFs::readdir_entry(
+    const Resolution& resolved, std::string_view what) const {
   if (!resolved.is_ok()) return resolved.status();
   const Resolved& r = resolved.value();
-  if (r.ino == kInvalidIno) return common::Status::not_found(std::string(path));
+  if (r.ino == kInvalidIno) return common::Status::not_found(std::string(what));
   if (!r.is_dir) {
     return common::Status::failed_precondition("not a directory: " +
-                                               std::string(path));
+                                               std::string(what));
   }
   const std::uint32_t shard = dir_owner(r.ino);
   ++stats_[shard].lookups;
@@ -263,6 +324,17 @@ common::Status OrigamiFs::rename(std::string_view from, std::string_view to) {
   auto dst = resolve(to);
   if (!dst.is_ok()) return dst.status();
   const Resolved& d = dst.value();
+  if (s.is_dir) {
+    // Moving a directory beneath itself would cut it off from the root and
+    // close a parent cycle (POSIX: EINVAL).
+    for (Ino dir = d.parent; dir != kInvalidIno; dir = dirs_.at(dir).parent) {
+      if (dir == s.ino) {
+        return common::Status::invalid_argument(
+            "cannot move a directory into its own subtree: " +
+            std::string(to));
+      }
+    }
+  }
   if (d.ino != kInvalidIno || d.leaf.empty()) {
     return common::Status::already_exists(std::string(to));
   }
@@ -288,11 +360,20 @@ common::Status OrigamiFs::rename(std::string_view from, std::string_view to) {
 
 common::Status OrigamiFs::setattr(std::string_view path,
                                   const fsns::InodeAttr& attr) {
-  auto resolved = resolve(path);
+  return setattr_entry(resolve(path), path, attr);
+}
+common::Status OrigamiFs::setattr_at(Ino parent, std::string_view name,
+                                     const fsns::InodeAttr& attr) {
+  return setattr_entry(resolve_at(parent, name), name, attr);
+}
+
+common::Status OrigamiFs::setattr_entry(const Resolution& resolved,
+                                        std::string_view what,
+                                        const fsns::InodeAttr& attr) {
   if (!resolved.is_ok()) return resolved.status();
   const Resolved& r = resolved.value();
   if (r.ino == kInvalidIno || r.leaf.empty()) {
-    return common::Status::not_found(std::string(path));
+    return common::Status::not_found(std::string(what));
   }
   const std::uint32_t shard = dir_owner(r.parent);
   ++stats_[shard].mutations;

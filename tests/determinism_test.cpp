@@ -22,6 +22,9 @@
 #include "origami/fs/live_replay.hpp"
 #include "origami/wl/generators.hpp"
 
+#include "support/fingerprints.hpp"
+#include "support/live_policy_golden_configs.hpp"
+
 namespace origami {
 namespace {
 
@@ -451,6 +454,59 @@ TEST(Determinism, ArrivalPoliciesBitIdenticalAcrossShardThreadCounts) {
         EXPECT_GT(stats.executed, 0u) << arrival;
       } else {
         EXPECT_EQ(fp, baseline) << arrival << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(Determinism, LivePolicyMigrationsBitIdenticalAcrossShardThreadCounts) {
+  // A live policy migrates subtrees from the epoch hook while the shard
+  // workers serve: clean mode keeps them streaming through the hook, and
+  // faulted mode drains them first because the policy narrates into their
+  // journals. Either way the final ownership map and every fault-plane
+  // counter are byte-identical at --shard-threads 1/2/8. This suite runs
+  // under TSan in CI, so a race between a migration and a worker surfaces
+  // here.
+  constexpr std::uint64_t kSeed = 3;
+  const wl::Trace trace = testing::live_policy_trace(kSeed);
+  policy::PolicyContext ctx;
+  ctx.benefit_model = testing::read_share_model();
+  for (const char* spec : {"hash-repart", "origami:min-benefit=0"}) {
+    for (const bool faulted : {false, true}) {
+      fs::LiveReplayOptions opt = testing::live_policy_options(kSeed, faulted);
+      if (faulted) {
+        opt.recovery.commit_mode = recovery::CommitMode::kAsync;
+        opt.recovery.commit_window = sim::millis(1);
+        opt.recovery.commit_batch = 32;
+      }
+      std::string baseline;
+      for (const std::uint32_t threads : {1u, 2u, 8u}) {
+        const std::string run_name = std::string(spec) +
+                                     (faulted ? " faulted" : " clean") +
+                                     " threads " + std::to_string(threads);
+        auto made = policy::Registry::builtin().make_live(spec, ctx);
+        ASSERT_TRUE(made.is_ok()) << made.status().to_string();
+        const std::unique_ptr<policy::LivePolicy> live =
+            std::move(made).value();
+        fs::OrigamiFs::Options fopt;
+        fopt.shards = testing::kLivePolicyShards;
+        fs::OrigamiFs fsys(fopt);
+        fs::LiveReplayOptions run = opt;
+        run.shard_threads = threads;
+        run.on_epoch = [&live](fs::OrigamiFs& f, fs::LiveFaultContext& c) {
+          return live->on_epoch(f, c);
+        };
+        const auto stats = fs::replay_on_live(trace, fsys, run);
+        const std::string fp = testing::live_policy_fingerprint(stats, fsys);
+        if (baseline.empty()) {
+          baseline = fp;
+          EXPECT_GT(stats.migrations, 0u) << run_name;
+          if (faulted) {
+            EXPECT_GT(stats.faults.crashes, 0u) << run_name;
+          }
+        } else {
+          EXPECT_EQ(fp, baseline) << run_name;
+        }
       }
     }
   }

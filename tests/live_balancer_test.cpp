@@ -3,13 +3,16 @@
 // through the registry's live origami form.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "origami/fs/live_replay.hpp"
 #include "origami/policy/registry.hpp"
 #include "origami/wl/generators.hpp"
+#include "origami/wl/trace.hpp"
 
 #include "support/live_policy_golden_configs.hpp"
 
@@ -212,6 +215,102 @@ TEST(LiveReplay, BalancerHookReducesImbalance) {
   EXPECT_GT(stats.epochs, 2u);
   EXPECT_GT(stats.migrations, 0u);
   EXPECT_LT(stats.shard_imbalance, 0.9);
+}
+
+/// Every counter a live replay leaves behind: per-shard dirent reads,
+/// writes and entries, then each directory's Data-Collector row in inode
+/// order (ino:parent:depth:shard:files:dirs:reads:writes).
+std::string live_counters(const fs::LiveReplayStats& stats,
+                          fs::OrigamiFs& fsys) {
+  std::ostringstream out;
+  out << stats.executed << ' ' << stats.failed << ' ' << stats.migrations
+      << " |";
+  for (const fs::ShardStats& st : fsys.shard_stats()) {
+    out << ' ' << st.lookups << '/' << st.mutations << '/' << st.entries;
+  }
+  out << " |";
+  auto activity = fsys.collect_activity(/*reset=*/false);
+  std::sort(activity.begin(), activity.end(),
+            [](const auto& a, const auto& b) { return a.ino < b.ino; });
+  for (const auto& a : activity) {
+    out << ' ' << a.ino << ':' << a.parent << ':' << a.depth << ':'
+        << a.shard << ':' << a.sub_files << ':' << a.sub_dirs << ':'
+        << a.reads << ':' << a.writes;
+  }
+  return out.str();
+}
+
+TEST(LiveReplay, NamespaceSurprisesCountLikePathWalks) {
+  // Ops a replayed namespace can throw at the issuer: a create aimed at a
+  // directory node (a file then sits where the directory should be, so
+  // every request below it fails mid-walk), unlinks aimed at directories
+  // and at the root, and re-creates after unlink. The ino-addressed issuer
+  // must count what resolving each full path from the root would have
+  // counted; the expected strings are what the string-path issuer it
+  // replaced produced, without and with ownership moving every 2 ops.
+  std::istringstream text(
+      "rmdir /d\n"
+      "create /d\n"
+      "stat /d/f\n"
+      "mkdir /d/e/g\n"
+      "readdir /d/e\n"
+      "setattr /d/e/g\n"
+      "create /d/e/h\n"
+      "unlink /d\n"
+      "stat /d/e/h\n"
+      "mkdir /d/e/g\n"
+      "readdir /d\n"
+      "create /d/f\n"
+      "unlink /d/e\n"
+      "stat /d/e/h\n"
+      "mkdir /d/e\n"
+      "readdir /d/e/g\n"
+      "unlink /\n"
+      "create /\n"
+      "stat /\n"
+      "readdir /\n"
+      "setattr /\n"
+      "mkdir /z/y\n"
+      "unlink /z\n"
+      "create /z/y/w\n"
+      "unlink /z\n"
+      "stat /z/y/w\n"
+      "rename /z/y/w /d/q\n"
+      "stat /d/q\n"
+      "create /d/e/g\n"
+      "readdir /d/e/g\n");
+  auto parsed = wl::parse_text_trace(text);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const wl::Trace& trace = parsed.value();
+
+  const char* const expected[] = {
+      "30 14 0 | 58/11/8 0/0/0 0/0/0 | 1:0:0:0:0:2:2:4 3:1:1:0:2:1:2:3 "
+      "5:3:2:0:1:0:1:1 7:1:1:0:0:1:0:1 8:7:2:0:1:0:1:2",
+      "30 14 15 | 15/3/0 37/8/4 6/0/4 | 1:0:0:2:0:2:0:0 3:1:1:1:2:1:0:0 "
+      "5:3:2:1:1:0:0:0 7:1:1:2:0:1:0:0 8:7:2:2:1:0:0:0",
+  };
+  for (const std::uint64_t epoch_ops : {0, 2}) {
+    fs::OrigamiFs::Options fopt;
+    fopt.shards = 3;
+    fs::OrigamiFs fsys(fopt);
+    fs::LiveReplayOptions opt;
+    opt.epoch_ops = epoch_ops;
+    std::uint32_t turn = 0;
+    opt.on_epoch = [&turn](fs::OrigamiFs& f, fs::LiveFaultContext&) {
+      // Move every third directory one shard on, a different third each
+      // epoch, so walks cross owners.
+      std::uint64_t moves = 0;
+      for (const auto& a : f.collect_activity(/*reset=*/true)) {
+        if ((a.ino + turn) % 3 != 0) continue;
+        if (f.reassign_dir(a.ino, (a.shard + 1) % 3).is_ok()) ++moves;
+      }
+      ++turn;
+      return moves;
+    };
+    const auto stats = fs::replay_on_live(trace, fsys, opt);
+    EXPECT_EQ(live_counters(stats, fsys), expected[epoch_ops == 0 ? 0 : 1])
+        << "epoch_ops " << epoch_ops;
+  }
 }
 
 }  // namespace

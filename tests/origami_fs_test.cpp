@@ -2,6 +2,7 @@
 // shard routing, and subtree migration correctness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "origami/common/rng.hpp"
@@ -244,6 +245,213 @@ TEST(OrigamiFs, RandomOpsWithMigrationsMatchReferenceModel) {
   for (const auto& st : fsys.shard_stats()) total += st.entries;
   EXPECT_EQ(total, fsys.entry_count());
   EXPECT_EQ(total, files.size() + dirs.size() - 1);
+}
+
+TEST(OrigamiFs, RenameIntoOwnSubtreeIsRefused) {
+  OrigamiFs fsys(small_options());
+  ASSERT_TRUE(fsys.mkdir("/a").is_ok());
+  ASSERT_TRUE(fsys.mkdir("/a/b").is_ok());
+  // Status first: were the move accepted, /a would close a parent cycle and
+  // collect_activity below would never return.
+  ASSERT_EQ(fsys.rename("/a", "/a/b/a").code(),
+            common::StatusCode::kInvalidArgument);
+  ASSERT_EQ(fsys.rename("/a", "/a/c").code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fsys.stat("/a").is_ok());
+  EXPECT_TRUE(fsys.stat("/a/b").is_ok());
+  EXPECT_EQ(fsys.collect_activity(false).size(), 3u);
+  // Moving a directory up and out of its parent is fine.
+  EXPECT_TRUE(fsys.rename("/a/b", "/b").is_ok());
+  EXPECT_TRUE(fsys.stat("/b").is_ok());
+}
+
+// ------------------------------------------------- (parent ino, name) --
+
+void expect_same(const common::Status& a, const common::Status& b) {
+  EXPECT_EQ(a.code(), b.code()) << a.to_string() << " vs " << b.to_string();
+}
+
+template <typename T>
+void expect_same_result(const common::Result<T>& a,
+                        const common::Result<T>& b) {
+  expect_same(a.status(), b.status());
+}
+
+void expect_same_counters(const OrigamiFs& a, const OrigamiFs& b) {
+  const auto sa = a.shard_stats();
+  const auto sb = b.shard_stats();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].lookups, sb[i].lookups) << "shard " << i;
+    EXPECT_EQ(sa[i].mutations, sb[i].mutations) << "shard " << i;
+    EXPECT_EQ(sa[i].entries, sb[i].entries) << "shard " << i;
+  }
+}
+
+std::vector<OrigamiFs::DirActivity> sorted_activity(OrigamiFs& fsys,
+                                                    bool reset) {
+  auto out = fsys.collect_activity(reset);
+  std::sort(out.begin(), out.end(),
+            [](const auto& x, const auto& y) { return x.ino < y.ino; });
+  return out;
+}
+
+void expect_same_activity(OrigamiFs& a, OrigamiFs& b, bool reset) {
+  const auto xa = sorted_activity(a, reset);
+  const auto xb = sorted_activity(b, reset);
+  ASSERT_EQ(xa.size(), xb.size());
+  for (std::size_t i = 0; i < xa.size(); ++i) {
+    EXPECT_EQ(xa[i].ino, xb[i].ino);
+    EXPECT_EQ(xa[i].parent, xb[i].parent);
+    EXPECT_EQ(xa[i].depth, xb[i].depth);
+    EXPECT_EQ(xa[i].shard, xb[i].shard);
+    EXPECT_EQ(xa[i].sub_files, xb[i].sub_files);
+    EXPECT_EQ(xa[i].sub_dirs, xb[i].sub_dirs);
+    EXPECT_EQ(xa[i].reads, xb[i].reads) << "dir " << xa[i].ino;
+    EXPECT_EQ(xa[i].writes, xb[i].writes) << "dir " << xa[i].ino;
+  }
+}
+
+TEST(OrigamiFs, PathAndInoAddressingsAgree) {
+  // Property test: one seeded op sequence drives two services, one by
+  // string path and one by (parent inode, name). Every op returns the same
+  // status and values on both, and after every migration the shard
+  // counters and the Data Collector's activity are identical. A small name
+  // pool makes duplicates, directory/file mismatches and misses common.
+  OrigamiFs by_path(small_options(4));
+  OrigamiFs by_ino(small_options(4));
+  common::Xoshiro256 rng(2026);
+
+  struct Dir {
+    std::string path;  // "" for the root, so children are path + "/name"
+    Ino ino;
+  };
+  std::vector<Dir> dirs{{"", kRootIno}};
+  const char* const kNames[] = {"n0", "n1", "n2", "n3", "n4", "n5"};
+  fsns::InodeAttr attr;
+  for (int step = 0; step < 4'000; ++step) {
+    // The root is addressed as "/" and (kInvalidIno, "").
+    const bool root = rng.chance(0.05);
+    const Dir dir = dirs[rng.uniform(dirs.size())];
+    const std::string name = root ? "" : kNames[rng.uniform(std::size(kNames))];
+    const std::string path = root ? "/" : dir.path + "/" + name;
+    const Ino parent = root ? kInvalidIno : dir.ino;
+    SCOPED_TRACE("step " + std::to_string(step) + ": " + path);
+
+    const double roll = rng.uniform_double();
+    if (roll < 0.15) {
+      const auto a = by_path.mkdir(path);
+      const auto b = by_ino.mkdir_at(parent, name);
+      expect_same_result(a, b);
+      if (a.is_ok() && b.is_ok()) {
+        ASSERT_EQ(a.value(), b.value());
+        dirs.push_back({path, a.value()});
+      }
+    } else if (roll < 0.35) {
+      const auto a = by_path.create(path);
+      const auto b = by_ino.create_at(parent, name);
+      expect_same_result(a, b);
+      if (a.is_ok() && b.is_ok()) {
+        EXPECT_EQ(a.value(), b.value());
+      }
+    } else if (roll < 0.55) {
+      const auto a = by_path.stat(path);
+      const auto b = by_ino.stat_at(parent, name);
+      expect_same_result(a, b);
+      if (a.is_ok() && b.is_ok()) {
+        EXPECT_EQ(a.value().ino, b.value().ino);
+        EXPECT_EQ(a.value().is_dir, b.value().is_dir);
+        EXPECT_EQ(a.value().shard, b.value().shard);
+        EXPECT_EQ(a.value().attr.mode, b.value().attr.mode);
+        EXPECT_EQ(a.value().attr.size, b.value().attr.size);
+        EXPECT_EQ(a.value().attr.nlink, b.value().attr.nlink);
+      }
+    } else if (roll < 0.65) {
+      const auto a = by_path.readdir(path);
+      const auto b = by_ino.readdir_at(parent, name);
+      expect_same_result(a, b);
+      if (a.is_ok() && b.is_ok()) {
+        ASSERT_EQ(a.value().size(), b.value().size());
+        for (std::size_t i = 0; i < a.value().size(); ++i) {
+          EXPECT_EQ(a.value()[i].name, b.value()[i].name);
+          EXPECT_EQ(a.value()[i].ino, b.value()[i].ino);
+          EXPECT_EQ(a.value()[i].is_dir, b.value()[i].is_dir);
+        }
+      }
+    } else if (roll < 0.75) {
+      attr.size = step;
+      expect_same(by_path.setattr(path, attr),
+                  by_ino.setattr_at(parent, name, attr));
+    } else if (roll < 0.85) {
+      expect_same(by_path.unlink(path), by_ino.unlink_at(parent, name));
+    } else {
+      const Ino moved = dirs[rng.uniform(dirs.size())].ino;
+      const auto target = static_cast<std::uint32_t>(rng.uniform(4));
+      if (rng.chance(0.5)) {
+        const auto a = by_path.migrate_subtree_ino(moved, target);
+        const auto b = by_ino.migrate_subtree_ino(moved, target);
+        expect_same_result(a, b);
+        if (a.is_ok() && b.is_ok()) {
+          EXPECT_EQ(a.value(), b.value());
+        }
+      } else {
+        const auto a = by_path.reassign_dir(moved, target);
+        const auto b = by_ino.reassign_dir(moved, target);
+        expect_same_result(a, b);
+        if (a.is_ok() && b.is_ok()) {
+          EXPECT_EQ(a.value(), b.value());
+        }
+      }
+      expect_same_counters(by_path, by_ino);
+      expect_same_activity(by_path, by_ino, /*reset=*/rng.chance(0.5));
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  expect_same_counters(by_path, by_ino);
+  expect_same_activity(by_path, by_ino, /*reset=*/false);
+  EXPECT_GT(dirs.size(), 50u);
+
+  // Outside input: a parent that is not a live directory (a file, an inode
+  // never handed out) is not_found, a name no path spells is
+  // invalid_argument, and neither moves a counter.
+  ASSERT_TRUE(by_ino.mkdir_at(kRootIno, "probe").is_ok());
+  const auto file = by_ino.create_at(kRootIno, "probe-file");
+  ASSERT_TRUE(file.is_ok());
+  const auto before = by_ino.shard_stats();
+  const auto activity_before = sorted_activity(by_ino, /*reset=*/false);
+  for (const Ino bad : {file.value(), Ino{1} << 40}) {
+    using common::StatusCode;
+    EXPECT_EQ(by_ino.mkdir_at(bad, "x").status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(by_ino.create_at(bad, "x").status().code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(by_ino.stat_at(bad, "x").status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(by_ino.readdir_at(bad, "x").status().code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(by_ino.setattr_at(bad, "x", {}).code(), StatusCode::kNotFound);
+    EXPECT_EQ(by_ino.unlink_at(bad, "x").code(), StatusCode::kNotFound);
+  }
+  for (const char* bad : {"", ".", "a/b"}) {
+    EXPECT_EQ(by_ino.stat_at(kRootIno, bad).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(by_ino.create_at(kRootIno, bad).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(by_ino.create_at(kInvalidIno, "x").status().code(),
+            common::StatusCode::kNotFound);
+  const auto after = by_ino.shard_stats();
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].lookups, before[i].lookups);
+    EXPECT_EQ(after[i].mutations, before[i].mutations);
+    EXPECT_EQ(after[i].entries, before[i].entries);
+  }
+  const auto activity_after = sorted_activity(by_ino, /*reset=*/false);
+  ASSERT_EQ(activity_after.size(), activity_before.size());
+  for (std::size_t i = 0; i < activity_after.size(); ++i) {
+    EXPECT_EQ(activity_after[i].reads, activity_before[i].reads);
+    EXPECT_EQ(activity_after[i].writes, activity_before[i].writes);
+  }
 }
 
 }  // namespace
