@@ -5,6 +5,7 @@
 // forwarding-free partition wastes the least capacity).
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "origami/common/csv.hpp"
@@ -34,7 +35,8 @@ int main() {
 
     for (double rate_k : kRatesK) {
       cluster::ReplayOptions opt = base;
-      opt.open_loop_rate = rate_k * 1000.0;
+      opt.arrival =
+          "open:rate=" + std::to_string(static_cast<int>(rate_k * 1000));
       opt.loop_trace = true;
       opt.time_limit = sim::seconds(4);
       cluster::FixedPartitionBalancer frozen(hot);

@@ -54,11 +54,11 @@ struct EngineCore {
   mds::DataCluster data;
   common::Xoshiro256 jitter_rng;
   /// The request-arrival process (wl/arrival.hpp), resolved from
-  /// `opt.arrival` (spec) or the legacy `open_loop_rate`/`clients` fields.
+  /// `opt.arrival` (empty: the closed loop of `opt.clients` clients).
   /// `ExecEngine` drives every issue through it; closed-loop policies
   /// chain re-issues off completions, open-loop policies emit the next
-  /// arrival time (the legacy Poisson loop draws from `jitter_rng`, so the
-  /// shared-stream draw order is part of the byte-identity contract).
+  /// arrival time ("open" draws from `jitter_rng`, so the shared-stream
+  /// draw order is part of the byte-identity contract).
   std::unique_ptr<wl::ArrivalPolicy> arrival;
   const bool faults_on;
   /// The crash protocol shared with the live engine: fault injector, one

@@ -24,11 +24,6 @@ struct ReplayOptions {
   std::uint32_t mds_count = 5;
   /// Closed-loop client threads (each keeps one request in flight).
   std::uint32_t clients = 50;
-  /// When > 0, replaces the closed loop with an *open-loop* arrival
-  /// process: operations arrive at this aggregate rate (ops/second,
-  /// Poisson) regardless of completions. Offered load beyond capacity
-  /// builds real queues — use for latency-vs-load curves.
-  double open_loop_rate = 0.0;
   /// Shard-serving worker threads for the live serving plane
   /// (`fs::replay_on_live`): shard `s` is served by worker
   /// `s % shard_threads`. Output is byte-identical at any value; the epoch
@@ -80,11 +75,10 @@ struct ReplayOptions {
   /// Arrival-process spec from the shared `--arrival` flag:
   /// `<name>[:k=v,...]` against `wl::ArrivalRegistry::builtin()` (closed,
   /// open, paced, trace, bursty, tenant — `--list-arrivals` catalogues
-  /// them). Empty keeps the legacy mapping: `open_loop_rate > 0` selects
-  /// Poisson open-loop arrivals, otherwise the closed loop. Validated by
-  /// `options_from_flags` (unknown name/param/value → usage + exit 2);
-  /// `EngineCore` throws `std::invalid_argument` on a bad programmatic
-  /// spec.
+  /// them); `open:rate=R` is the Poisson open loop for latency-vs-load
+  /// curves. Empty runs the closed loop. Validated by `options_from_flags`
+  /// (unknown name/param/value → usage + exit 2); `EngineCore` throws
+  /// `std::invalid_argument` on a bad programmatic spec.
   std::string arrival;
 
   /// Balancing-policy spec from the shared `--policy` flag:
@@ -106,8 +100,11 @@ struct ReplayOptions {
 };
 
 /// Parses "mds@start_ms+dur_ms[,mds@start_ms+dur_ms...]" into scheduled
-/// crash windows. Exits with a diagnostic on a malformed entry (CLI use).
-std::vector<fault::FaultWindow> parse_crash_schedule(const std::string& spec);
+/// crash windows. `kInvalidArgument` on an entry that does not read whole,
+/// names an MDS at or above `mds_count`, or has a negative start or
+/// duration.
+common::Result<std::vector<fault::FaultWindow>> parse_crash_schedule(
+    const std::string& spec, std::uint32_t mds_count);
 
 /// Applies the shared command-line vocabulary (--mds, --clients, --epoch-ms,
 /// --cache*, --data-path, --kv-backing, every --fault-* / --retry-* /
@@ -118,8 +115,10 @@ std::vector<fault::FaultWindow> parse_crash_schedule(const std::string& spec);
 ///
 /// Returns `kInvalidArgument` listing every `--fault-*` / `--retry-*` /
 /// `--commit-*` flag this parser does not recognize (a typoed fault knob
-/// must fail fast, not silently run the fault-free configuration), and for
-/// out-of-vocabulary `--commit-mode` values.
+/// must fail fast, not silently run the fault-free configuration), for
+/// out-of-vocabulary `--commit-mode` values, and for a numeric value that
+/// does not read whole (common::FlagReader) or is out of range: zero MDSs,
+/// clients or epoch length, or a probability outside [0, 1].
 common::Result<ReplayOptions> options_from_flags(const common::Flags& flags,
                                                  ReplayOptions base = {});
 

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "origami/common/status.hpp"
+
 namespace origami::common {
 
 /// Minimal command-line parser for the CLI tools: accepts `--key value`,
@@ -35,6 +37,30 @@ class Flags {
  private:
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> positional_;
+};
+
+/// Strict reads of flag values by the spec grammar's value rules
+/// (common/spec.hpp): an integer is plain decimal digits, a real is a
+/// finite number, and either must lie within the caller's [lo, hi]. An
+/// absent flag reads as nullopt. A present flag that does not read, or
+/// reads out of range, also reads as nullopt and records an
+/// `invalid_argument` naming it; `status()` is the first such failure.
+class FlagReader {
+ public:
+  explicit FlagReader(const Flags& flags) : flags_(flags) {}
+
+  std::optional<std::int64_t> int_flag(std::string_view name, std::int64_t lo,
+                                       std::int64_t hi);
+  std::optional<double> real_flag(std::string_view name, double lo,
+                                  double hi);
+
+  [[nodiscard]] const Status& status() const noexcept { return status_; }
+
+ private:
+  void fail(std::string_view name, const std::string& expected);
+
+  const Flags& flags_;
+  Status status_;
 };
 
 }  // namespace origami::common

@@ -9,79 +9,15 @@
 
 namespace origami::common {
 
-/// Unbounded blocking multi-producer/multi-consumer queue. `close()` wakes
-/// all blocked consumers; after close, `pop()` drains remaining items and
-/// then returns nullopt.
-///
-/// `push` returns whether the item was accepted: once the queue is closed,
-/// pushes are rejected (false) instead of silently dropped — a producer
-/// racing `close()` must be able to tell that its item never entered the
-/// queue, otherwise "every produced item is either consumed or rejected"
-/// cannot be audited and shutdown bugs hide as lost work.
-template <typename T>
-class MpmcQueue {
- public:
-  [[nodiscard]] bool push(T item) {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_) return false;  // rejected: queue no longer accepts work
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item is available or the queue is closed and drained.
-  std::optional<T> pop() {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::lock_guard lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  void close() {
-    {
-      std::lock_guard lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
-
 /// Bounded blocking MPMC queue with producer backpressure: `push` blocks
 /// while the queue holds `capacity` items, so a fast producer stalls
 /// instead of growing memory without bound — the request lanes between the
-/// live-replay issuer and the shard-serving threads use this. Semantics
-/// otherwise match `MpmcQueue`: `close()` wakes everyone, pops drain the
-/// remaining items, and a post-close push is rejected (returns false),
-/// never silently dropped.
+/// live-replay issuer and the shard-serving threads use this. `close()`
+/// wakes everyone, pops drain the remaining items, and a post-close push is
+/// rejected (returns false), never silently dropped: a producer racing
+/// `close()` must be able to tell that its item never entered the queue,
+/// or "every produced item is either consumed or rejected" cannot be
+/// audited.
 template <typename T>
 class BoundedMpmcQueue {
  public:

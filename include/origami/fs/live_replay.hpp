@@ -74,17 +74,13 @@ struct LiveReplayOptions {
   /// Closed-loop client issuers: op `i` belongs to client `i % clients`,
   /// which issues its next request the instant the previous one completes.
   std::uint32_t clients = 32;
-  /// When > 0, switches to an open loop issuing at this rate (ops/sec,
-  /// fixed inter-arrival gap) regardless of completions — queueing delay
-  /// then shows up in the latency distribution.
-  double issue_rate = 0.0;
   /// Arrival-process spec (`--arrival=<name>[:k=v,...]` against
-  /// `wl::ArrivalRegistry::builtin()`). Overrides the two legacy fields
-  /// above: empty keeps their mapping (`issue_rate > 0` → the fixed-gap
-  /// "paced" process, otherwise the "closed" loop). The live engine stamps
-  /// each op's arrival on its nanosecond virtual clock through the policy;
-  /// randomized processes (bursty) draw from a policy- or engine-owned
-  /// seeded stream, so output stays byte-identical at any
+  /// `wl::ArrivalRegistry::builtin()`); `paced:rate=R` issues at a fixed
+  /// gap regardless of completions, so queueing delay shows up in the
+  /// latency distribution. Empty runs the closed loop. The live engine
+  /// stamps each op's arrival on its nanosecond virtual clock through the
+  /// policy; randomized processes (bursty) draw from a policy- or
+  /// engine-owned seeded stream, so output stays byte-identical at any
   /// `shard_threads`.
   std::string arrival;
   /// Service-time parameters for the virtual clock.

@@ -12,7 +12,7 @@ namespace origami::mds {
 /// Encodes the (parent inode, name) composite key used by OrigamiFS (§4.2):
 /// 8-byte big-endian parent id (so siblings are contiguous for readdir
 /// scans) followed by the entry name.
-std::string inode_key(fsns::NodeId parent, std::string_view name);
+std::string inode_key(std::uint64_t parent, std::string_view name);
 
 /// Compact binary encoding of `InodeAttr` (+ a dir flag).
 std::string encode_inode(const fsns::InodeAttr& attr, bool is_dir);

@@ -16,19 +16,13 @@
 
 #include "origami/cluster/balancer.hpp"
 #include "origami/cluster/options.hpp"
+#include "origami/common/spec.hpp"
 #include "origami/common/status.hpp"
 #include "origami/fs/live_replay.hpp"
 #include "origami/fs/origami_fs.hpp"
 #include "origami/ml/gbdt.hpp"
 
 namespace origami::policy {
-
-/// One declared policy parameter: settable via `--policy=name:key=value`.
-struct ParamSpec {
-  std::string key;
-  std::string summary;
-  std::string default_value;
-};
 
 /// The fixed load-metric vocabulary every policy draws its inputs from
 /// (the Mantle idea: policies differ in *how* they combine a shared
@@ -55,40 +49,6 @@ struct MetricsSchema {
   std::string howmuch;
 };
 
-/// A parsed `name[:k=v,...]` policy spec.
-struct PolicySpec {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> params;
-};
-
-/// Parses a spec string. Fails on empty names, empty keys and entries
-/// without '=' — but does NOT check the name or keys against the registry
-/// (that is `Registry::make` / `Registry::validate`).
-common::Result<PolicySpec> parse_policy_spec(const std::string& spec);
-
-/// Typed access to a spec's key=value pairs with per-key defaults.
-class ParamMap {
- public:
-  ParamMap() = default;
-  explicit ParamMap(std::vector<std::pair<std::string, std::string>> kv)
-      : kv_(std::move(kv)) {}
-
-  [[nodiscard]] bool has(const std::string& key) const;
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const;
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const;
-  [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& items()
-      const {
-    return kv_;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> kv_;
-};
-
 /// Everything a factory may draw on. Models are only consulted by entries
 /// whose `needs_*_model` flag is set; `converged` only by "fixed".
 struct PolicyContext {
@@ -108,10 +68,11 @@ class LivePolicy {
                                  fs::LiveFaultContext& ctx) = 0;
 };
 
-using BalancerFactory = std::function<common::Result<
-    std::unique_ptr<cluster::Balancer>>(const ParamMap&, const PolicyContext&)>;
+using BalancerFactory =
+    std::function<common::Result<std::unique_ptr<cluster::Balancer>>(
+        const common::SpecValues&, const PolicyContext&)>;
 using LiveFactory = std::function<common::Result<std::unique_ptr<LivePolicy>>(
-    const ParamMap&, const PolicyContext&)>;
+    const common::SpecValues&, const PolicyContext&)>;
 
 /// One registered policy.
 struct Entry {
@@ -122,7 +83,7 @@ struct Entry {
   /// Under `--strategy all` / faceoff sweeps this policy is the 1-MDS
   /// baseline (runs on a single server).
   bool single_mds = false;
-  std::vector<ParamSpec> params;
+  std::vector<common::ParamDecl> params;
   MetricsSchema metrics;
   BalancerFactory make;
   LiveFactory make_live;  ///< null when the policy has no live-mode form
@@ -140,10 +101,10 @@ class Registry {
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
   [[nodiscard]] const Entry* find(const std::string& name) const;
 
-  /// Parses `spec`, checks the name and every key against the entry's
-  /// declared params. OK iff `make` with the same spec would not fail on
-  /// the spec itself (it may still fail on missing context, e.g. "fixed"
-  /// without a converged run).
+  /// Parses `spec` and checks the name, and every key and value against
+  /// the entry's declared params (common/spec.hpp). OK iff `make` with the
+  /// same spec would not fail on the spec itself (it may still fail on
+  /// missing context, e.g. "fixed" without a converged run).
   [[nodiscard]] common::Status validate(const std::string& spec) const;
 
   /// Parse + validate + construct in one step.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace origami::sim {
 
@@ -13,6 +14,9 @@ inline constexpr SimTime kNanosecond = 1;
 inline constexpr SimTime kMicrosecond = 1000;
 inline constexpr SimTime kMillisecond = 1000 * kMicrosecond;
 inline constexpr SimTime kSecond = 1000 * kMillisecond;
+/// The longest span, in whole milliseconds, a SimTime holds.
+inline constexpr SimTime kMaxMillis =
+    std::numeric_limits<SimTime>::max() / kMillisecond;
 
 constexpr SimTime micros(double us) noexcept {
   return static_cast<SimTime>(us * static_cast<double>(kMicrosecond));

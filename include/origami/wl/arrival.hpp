@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "origami/common/rng.hpp"
+#include "origami/common/spec.hpp"
 #include "origami/common/status.hpp"
 #include "origami/sim/time.hpp"
 #include "origami/wl/trace.hpp"
@@ -83,61 +84,7 @@ class ArrivalPolicy {
   }
 };
 
-// ------------------------------------------------------------- factories --
-// Direct constructors for the legacy processes. Engines resolving the
-// default mapping (no `--arrival` spec) call these instead of formatting a
-// spec string, so a double never round-trips through text.
-
-/// Fixed client population, one request in flight each (the historical
-/// closed loop in both planes).
-std::unique_ptr<ArrivalPolicy> make_closed_arrival();
-
-/// Poisson arrivals at `rate` ops/second, gaps drawn from the engine's
-/// stream (the historical `--rate` open loop of the epoch DES).
-std::unique_ptr<ArrivalPolicy> make_open_arrival(double rate);
-
-/// Deterministic fixed-gap arrivals at `rate` ops/second (the historical
-/// `--issue-rate` open loop of the live plane). Draws nothing.
-std::unique_ptr<ArrivalPolicy> make_paced_arrival(double rate);
-
 // -------------------------------------------------------------- registry --
-
-/// One declared arrival parameter: settable via `--arrival=name:key=value`.
-struct ArrivalParamSpec {
-  std::string key;
-  std::string summary;
-  std::string default_value;
-};
-
-/// A parsed `name[:k=v,...]` arrival spec.
-struct ArrivalSpec {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> params;
-};
-
-/// Parses a spec string. Fails on empty names, empty keys and entries
-/// without '=' — but does NOT check the name or keys against the registry
-/// (that is `ArrivalRegistry::validate` / `make`).
-common::Result<ArrivalSpec> parse_arrival_spec(const std::string& spec);
-
-/// Typed access to a spec's key=value pairs with per-key defaults.
-class ArrivalParams {
- public:
-  ArrivalParams() = default;
-  explicit ArrivalParams(std::vector<std::pair<std::string, std::string>> kv)
-      : kv_(std::move(kv)) {}
-
-  [[nodiscard]] bool has(const std::string& key) const;
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const;
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const;
-
- private:
-  std::vector<std::pair<std::string, std::string>> kv_;
-};
 
 /// Everything an arrival factory may draw on. `trace` feeds the
 /// trace-timestamp replay policy; it is null when validation runs without
@@ -148,12 +95,13 @@ struct ArrivalContext {
 };
 
 using ArrivalFactory = std::function<common::Result<
-    std::unique_ptr<ArrivalPolicy>>(const ArrivalParams&,
+    std::unique_ptr<ArrivalPolicy>>(const common::SpecValues&,
                                     const ArrivalContext&)>;
 /// Context-free value validation (ranges, positivity), run by both
 /// `validate` and `make` so a CLI rejects `--arrival=open:rate=-1` with
 /// usage + exit 2 before any engine is built.
-using ArrivalCheck = std::function<common::Status(const ArrivalParams&)>;
+using ArrivalCheck =
+    std::function<common::Status(const common::SpecValues&)>;
 
 /// One registered arrival process.
 struct ArrivalEntry {
@@ -162,7 +110,7 @@ struct ArrivalEntry {
   std::string protocol;  ///< "closed-loop" or "open-loop"
   /// Needs `ArrivalContext::trace` with per-op timestamps (trace replay).
   bool needs_timed_trace = false;
-  std::vector<ArrivalParamSpec> params;
+  std::vector<common::ParamDecl> params;
   ArrivalCheck check;  ///< may be null: no value constraints
   ArrivalFactory make;
 };
@@ -179,13 +127,12 @@ class ArrivalRegistry {
   [[nodiscard]] const std::vector<ArrivalEntry>& entries() const {
     return entries_;
   }
-  [[nodiscard]] const ArrivalEntry* find(const std::string& name) const;
 
-  /// Parses `spec`, checks the name, every key against the entry's
-  /// declared params, and every value against the entry's constraints.
-  /// OK iff `make` with the same spec would not fail on the spec itself
-  /// (it may still fail on missing context, e.g. `trace` without a timed
-  /// workload).
+  /// Parses `spec`, checks the name, every key and value against the
+  /// entry's declared params (common/spec.hpp), and every value against
+  /// the entry's constraints. OK iff `make` with the same spec would not
+  /// fail on the spec itself (it may still fail on missing context, e.g.
+  /// `trace` without a timed workload).
   [[nodiscard]] common::Status validate(const std::string& spec) const;
 
   /// Parse + validate + construct in one step.
@@ -200,16 +147,12 @@ class ArrivalRegistry {
   std::vector<ArrivalEntry> entries_;
 };
 
-/// The one place the legacy flag vocabulary maps onto the arrival plane,
-/// shared by both engines: an explicit `spec` wins; otherwise a positive
-/// `legacy_rate` selects the plane's historical open loop (`poisson_legacy`
-/// true → Poisson on the engine stream, false → fixed-gap pacing);
-/// otherwise the closed loop. Throws `std::invalid_argument` on a spec the
-/// registry rejects (CLIs validate first and exit 2; programmatic callers
-/// get the error loudly, not a silently different workload).
+/// The arrival process both engines run: `spec` through the builtin
+/// registry, or the closed loop when `spec` is empty. Throws
+/// `std::invalid_argument` on a spec the registry rejects (CLIs validate
+/// first and exit 2; programmatic callers get the error loudly, not a
+/// silently different workload).
 std::unique_ptr<ArrivalPolicy> resolve_arrival(const std::string& spec,
-                                               double legacy_rate,
-                                               bool poisson_legacy,
                                                const ArrivalContext& ctx);
 
 }  // namespace origami::wl

@@ -24,8 +24,7 @@ EngineCore::EngineCore(const wl::Trace& trace_in, const ReplayOptions& options,
       cache(trace_in.tree.size(), options.cache_depth, options.cache_enabled),
       data(options.data_params),
       jitter_rng(options.seed ^ 0x5eedULL),
-      arrival(wl::resolve_arrival(options.arrival, options.open_loop_rate,
-                                  /*poisson_legacy=*/true,
+      arrival(wl::resolve_arrival(options.arrival,
                                   {&trace_in, options.clients})),
       faults_on(options.faults.enabled()),
       fault_plane(options.faults, options.recovery, options.mds_count),

@@ -1,37 +1,63 @@
 #include "origami/cluster/options.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
+#include "origami/common/spec.hpp"
 #include "origami/wl/arrival.hpp"
 
 namespace origami::cluster {
 
-std::vector<fault::FaultWindow> parse_crash_schedule(const std::string& spec) {
+namespace {
+
+/// One "mds@start_ms+dur_ms" entry, or nullopt when it does not read whole
+/// or is out of range.
+std::optional<fault::FaultWindow> crash_window(std::string_view item,
+                                               std::uint32_t mds_count) {
+  const std::size_t at = item.find('@');
+  const std::size_t plus = item.find('+', at);
+  if (plus == std::string_view::npos) return std::nullopt;
+  const auto mds = common::parse_int(item.substr(0, at));
+  const auto start = common::parse_real(item.substr(at + 1, plus - at - 1));
+  const auto dur = common::parse_real(item.substr(plus + 1));
+  if (!mds.is_ok() || !start.is_ok() || !dur.is_ok() ||
+      mds.value() >= mds_count || start.value() < 0 || dur.value() < 0 ||
+      start.value() + dur.value() > static_cast<double>(sim::kMaxMillis)) {
+    return std::nullopt;
+  }
+  fault::FaultWindow w;
+  w.mds = static_cast<std::uint32_t>(mds.value());
+  w.kind = fault::FaultKind::kCrash;
+  w.from = sim::millis(start.value());
+  w.until = w.from + sim::millis(dur.value());
+  return w;
+}
+
+}  // namespace
+
+common::Result<std::vector<fault::FaultWindow>> parse_crash_schedule(
+    const std::string& spec, std::uint32_t mds_count) {
   std::vector<fault::FaultWindow> out;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    unsigned mds = 0;
-    double start_ms = 0, dur_ms = 0;
-    if (std::sscanf(item.c_str(), "%u@%lf+%lf", &mds, &start_ms, &dur_ms) != 3) {
-      std::fprintf(stderr, "error: bad --fault-crash-at entry '%s'\n",
-                   item.c_str());
-      std::exit(1);
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string_view item =
+        std::string_view(spec).substr(pos, comma - pos);
+    const auto w = crash_window(item, mds_count);
+    if (!w) {
+      return common::Status::invalid_argument(
+          "bad --fault-crash-at entry '" + std::string(item) +
+          "' (expected mds@start_ms+dur_ms with mds below " +
+          std::to_string(mds_count) + " and start_ms, dur_ms >= 0)");
     }
-    fault::FaultWindow w;
-    w.mds = mds;
-    w.kind = fault::FaultKind::kCrash;
-    w.from = sim::millis(start_ms);
-    w.until = w.from + sim::millis(dur_ms);
-    out.push_back(w);
+    out.push_back(*w);
+    if (comma == spec.size()) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 namespace {
@@ -81,21 +107,20 @@ common::Result<ReplayOptions> options_from_flags(const common::Flags& flags,
   }
 
   ReplayOptions opt = std::move(base);
-  if (flags.has("mds")) {
-    opt.mds_count = static_cast<std::uint32_t>(flags.get_int("mds", 5));
-  }
-  if (flags.has("clients")) {
-    opt.clients = static_cast<std::uint32_t>(flags.get_int("clients", 50));
-  }
-  if (flags.has("epoch-ms")) {
-    opt.epoch_length =
-        sim::millis(static_cast<double>(flags.get_int("epoch-ms", 500)));
+  common::FlagReader read(flags);
+  constexpr std::int64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr double kMaxMs = static_cast<double>(sim::kMaxMillis);
+  const auto u32 = [](std::int64_t v) { return static_cast<std::uint32_t>(v); };
+  const auto ms = [](std::int64_t v) {
+    return sim::millis(static_cast<double>(v));
+  };
+  if (auto v = read.int_flag("mds", 1, kU32)) opt.mds_count = u32(*v);
+  if (auto v = read.int_flag("clients", 1, kU32)) opt.clients = u32(*v);
+  if (auto v = read.int_flag("epoch-ms", 1, sim::kMaxMillis)) {
+    opt.epoch_length = ms(*v);
   }
   if (flags.has("cache")) opt.cache_enabled = flags.get_bool("cache", true);
-  if (flags.has("cache-depth")) {
-    opt.cache_depth =
-        static_cast<std::uint32_t>(flags.get_int("cache-depth", 3));
-  }
+  if (auto v = read.int_flag("cache-depth", 0, kU32)) opt.cache_depth = u32(*v);
   if (flags.has("data-path")) {
     opt.data_path = flags.get_bool("data-path", false);
   }
@@ -105,9 +130,8 @@ common::Result<ReplayOptions> options_from_flags(const common::Flags& flags,
   if (flags.has("kv-wal-dir")) {
     opt.kv_wal_dir = flags.get("kv-wal-dir");
   }
-  if (flags.has("warmup-epochs")) {
-    opt.warmup_epochs =
-        static_cast<std::uint32_t>(flags.get_int("warmup-epochs", 4));
+  if (auto v = read.int_flag("warmup-epochs", 0, kU32)) {
+    opt.warmup_epochs = u32(*v);
   }
   if (flags.has("policy")) {
     // Stored raw; resolved (and strictly validated) against
@@ -139,72 +163,48 @@ common::Result<ReplayOptions> options_from_flags(const common::Flags& flags,
     }
     opt.arrival = spec;
   }
-  if (flags.has("shard-threads")) {
-    // Strict: a malformed thread count must not silently run single-shard
-    // (get_int would coerce garbage to 0). Digits only, value >= 1.
-    const std::string raw = flags.get("shard-threads");
-    bool numeric = !raw.empty();
-    for (const char c : raw) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-    }
-    const long long value = numeric ? std::atoll(raw.c_str()) : 0;
-    if (!numeric || value < 1 || value > 4096) {
-      return common::Status::invalid_argument(
-          "bad --shard-threads '" + raw +
-          "' (expected an integer in [1, 4096])");
-    }
-    opt.shard_threads = static_cast<std::uint32_t>(value);
+  if (auto v = read.int_flag("shard-threads", 1, 4096)) {
+    opt.shard_threads = u32(*v);
   }
 
   fault::FaultPlan& plan = opt.faults;
-  if (flags.has("fault-seed")) {
-    plan.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 2026));
+  if (auto v = read.int_flag("fault-seed", 0,
+                             std::numeric_limits<std::int64_t>::max())) {
+    plan.seed = static_cast<std::uint64_t>(*v);
   }
-  if (flags.has("fault-crash-prob")) {
-    plan.crash_prob = flags.get_double("fault-crash-prob", 0.0);
+  if (auto v = read.real_flag("fault-crash-prob", 0.0, 1.0)) {
+    plan.crash_prob = *v;
   }
-  if (flags.has("fault-recovery-ms")) {
-    plan.crash_recovery = sim::millis(
-        static_cast<double>(flags.get_int("fault-recovery-ms", 2000)));
+  if (auto v = read.int_flag("fault-recovery-ms", 0, sim::kMaxMillis)) {
+    plan.crash_recovery = ms(*v);
   }
-  if (flags.has("fault-straggler-prob")) {
-    plan.straggler_prob = flags.get_double("fault-straggler-prob", 0.0);
+  if (auto v = read.real_flag("fault-straggler-prob", 0.0, 1.0)) {
+    plan.straggler_prob = *v;
   }
-  if (flags.has("fault-straggler-slow")) {
-    plan.straggler_slow = flags.get_double("fault-straggler-slow", 4.0);
+  if (auto v = read.real_flag("fault-straggler-slow", 0.0,
+                              std::numeric_limits<double>::max())) {
+    plan.straggler_slow = *v;
   }
-  if (flags.has("fault-straggler-ms")) {
-    plan.straggler_duration = sim::millis(
-        static_cast<double>(flags.get_int("fault-straggler-ms", 1000)));
+  if (auto v = read.int_flag("fault-straggler-ms", 0, sim::kMaxMillis)) {
+    plan.straggler_duration = ms(*v);
   }
-  if (flags.has("fault-loss-prob")) {
-    plan.rpc_loss_prob = flags.get_double("fault-loss-prob", 0.0);
+  if (auto v = read.real_flag("fault-loss-prob", 0.0, 1.0)) {
+    plan.rpc_loss_prob = *v;
   }
-  if (flags.has("fault-corrupt-prob")) {
-    plan.rpc_corrupt_prob = flags.get_double("fault-corrupt-prob", 0.0);
-  }
-  if (flags.has("fault-crash-at")) {
-    plan.scheduled = parse_crash_schedule(flags.get("fault-crash-at"));
+  if (auto v = read.real_flag("fault-corrupt-prob", 0.0, 1.0)) {
+    plan.rpc_corrupt_prob = *v;
   }
 
   fault::RetryPolicy& retry = opt.retry;
-  if (flags.has("retry-max")) {
-    retry.max_retries =
-        static_cast<std::uint32_t>(flags.get_int("retry-max", 5));
+  if (auto v = read.int_flag("retry-max", 0, kU32)) retry.max_retries = u32(*v);
+  if (auto v = read.real_flag("retry-timeout-ms", 0.0, kMaxMs)) {
+    retry.timeout = sim::millis(*v);
   }
-  if (flags.has("retry-timeout-ms")) {
-    retry.timeout = sim::millis(flags.get_double("retry-timeout-ms", 5.0));
+  if (auto v = read.real_flag("retry-backoff-ms", 0.0, kMaxMs)) {
+    retry.backoff_base = sim::millis(*v);
   }
-  if (flags.has("retry-backoff-ms")) {
-    retry.backoff_base =
-        sim::millis(flags.get_double("retry-backoff-ms", 0.2));
-  }
-  if (flags.has("retry-backoff-cap-ms")) {
-    retry.backoff_cap =
-        sim::millis(flags.get_double("retry-backoff-cap-ms", 50.0));
+  if (auto v = read.real_flag("retry-backoff-cap-ms", 0.0, kMaxMs)) {
+    retry.backoff_cap = sim::millis(*v);
   }
 
   recovery::RecoveryParams& rec = opt.recovery;
@@ -219,12 +219,18 @@ common::Result<ReplayOptions> options_from_flags(const common::Flags& flags,
           "bad --commit-mode '" + mode + "' (expected sync or async)");
     }
   }
-  if (flags.has("commit-window")) {
-    rec.commit_window = sim::millis(flags.get_double("commit-window", 2.0));
+  if (auto v = read.real_flag("commit-window", 0.0, kMaxMs)) {
+    rec.commit_window = sim::millis(*v);
   }
-  if (flags.has("commit-batch")) {
-    rec.commit_batch =
-        static_cast<std::uint32_t>(flags.get_int("commit-batch", 64));
+  if (auto v = read.int_flag("commit-batch", 0, kU32)) {
+    rec.commit_batch = u32(*v);
+  }
+  if (!read.status().is_ok()) return read.status();
+  if (flags.has("fault-crash-at")) {
+    auto scheduled =
+        parse_crash_schedule(flags.get("fault-crash-at"), opt.mds_count);
+    if (!scheduled.is_ok()) return scheduled.status();
+    plan.scheduled = std::move(scheduled).value();
   }
 
   // Async commit over the real store needs a real log to group-commit: the

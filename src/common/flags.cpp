@@ -1,6 +1,9 @@
 #include "origami/common/flags.hpp"
 
 #include <cstdlib>
+#include <sstream>
+
+#include "origami/common/spec.hpp"
 
 namespace origami::common {
 
@@ -61,6 +64,39 @@ std::vector<std::string> Flags::names() const {
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
   return out;
+}
+
+void FlagReader::fail(std::string_view name, const std::string& expected) {
+  if (!status_.is_ok()) return;
+  status_ = Status::invalid_argument("bad --" + std::string(name) + " '" +
+                                     flags_.get(name) + "' (expected " +
+                                     expected + ")");
+}
+
+std::optional<std::int64_t> FlagReader::int_flag(std::string_view name,
+                                                 std::int64_t lo,
+                                                 std::int64_t hi) {
+  if (!flags_.has(name)) return std::nullopt;
+  const auto value = parse_int(flags_.get(name));
+  if (!value.is_ok() || value.value() < lo || value.value() > hi) {
+    fail(name, "an integer in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+    return std::nullopt;
+  }
+  return value.value();
+}
+
+std::optional<double> FlagReader::real_flag(std::string_view name, double lo,
+                                            double hi) {
+  if (!flags_.has(name)) return std::nullopt;
+  const auto value = parse_real(flags_.get(name));
+  if (!value.is_ok() || !(value.value() >= lo && value.value() <= hi)) {
+    std::ostringstream range;
+    range << "a number in [" << lo << ", " << hi << "]";
+    fail(name, range.str());
+    return std::nullopt;
+  }
+  return value.value();
 }
 
 }  // namespace origami::common

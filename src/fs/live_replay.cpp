@@ -201,9 +201,7 @@ class LiveEngine final : public LiveFaultContext {
         faults_on_(opt.faults.enabled()),
         plane_(opt.faults, opt.recovery, fsys.shard_count()),
         loss_rng_(opt.faults.seed ^ 0x11febeefULL),
-        arrival_(wl::resolve_arrival(opt.arrival, opt.issue_rate,
-                                     /*poisson_legacy=*/false,
-                                     {&trace, opt.clients})),
+        arrival_(wl::resolve_arrival(opt.arrival, {&trace, opt.clients})),
         arrival_rng_(opt.faults.seed ^ 0xa114a1ULL),
         model_(opt.cost),
         mat_(trace.tree, fsys) {

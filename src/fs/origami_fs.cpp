@@ -31,19 +31,6 @@ bool decode_dirent(std::string_view data, Ino& ino, bool& is_dir,
   return true;
 }
 
-std::string dirent_key(Ino parent, std::string_view name) {
-  // Big-endian parent so siblings are contiguous (readdir = prefix scan).
-  std::string key;
-  key.reserve(8 + name.size());
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    key.push_back(static_cast<char>((parent >> shift) & 0xff));
-  }
-  key.append(name);
-  return key;
-}
-
-std::string dirent_prefix(Ino parent) { return dirent_key(parent, {}); }
-
 }  // namespace
 
 OrigamiFs::OrigamiFs(Options options) {
@@ -66,7 +53,7 @@ common::Status OrigamiFs::read_dirent(Ino dir, std::string_view name,
                                       Resolved& out) const {
   const std::uint32_t shard = dir_owner(dir);
   ++stats_[shard].lookups;
-  auto value = shards_[shard]->get(dirent_key(dir, name));
+  auto value = shards_[shard]->get(mds::inode_key(dir, name));
   out.parent = dir;
   out.leaf = name;
   if (!value.is_ok()) {
@@ -134,7 +121,7 @@ common::Status OrigamiFs::insert_entry(Ino parent, std::string_view name,
   ++stats_[shard].mutations;
   ++stats_[shard].entries;
   ++entries_;
-  return shards_[shard]->put(dirent_key(parent, name),
+  return shards_[shard]->put(mds::inode_key(parent, name),
                              encode_dirent(ino, is_dir, attr));
 }
 
@@ -143,7 +130,7 @@ common::Status OrigamiFs::erase_entry(Ino parent, std::string_view name) {
   ++stats_[shard].mutations;
   --stats_[shard].entries;
   --entries_;
-  return shards_[shard]->del(dirent_key(parent, name));
+  return shards_[shard]->del(mds::inode_key(parent, name));
 }
 
 common::Result<Ino> OrigamiFs::mkdir(std::string_view path) {
@@ -261,7 +248,7 @@ common::Status OrigamiFs::rmdir(std::string_view path) {
   }
   bool empty = true;
   shards_[dir_owner(r.ino)]->scan_prefix(
-      dirent_prefix(r.ino), [&](std::string_view, std::string_view) {
+      mds::inode_key(r.ino, {}), [&](std::string_view, std::string_view) {
         empty = false;
         return false;
       });
@@ -300,7 +287,8 @@ common::Result<std::vector<DirEntry>> OrigamiFs::readdir_entry(
   charge_read(r.ino);
   std::vector<DirEntry> out;
   shards_[shard]->scan_prefix(
-      dirent_prefix(r.ino), [&](std::string_view key, std::string_view value) {
+      mds::inode_key(r.ino, {}),
+      [&](std::string_view key, std::string_view value) {
         DirEntry e;
         e.name.assign(key.substr(8));
         fsns::InodeAttr attr;
@@ -378,7 +366,7 @@ common::Status OrigamiFs::setattr_entry(const Resolution& resolved,
   const std::uint32_t shard = dir_owner(r.parent);
   ++stats_[shard].mutations;
   charge_write(r.is_dir ? r.ino : r.parent);
-  return shards_[shard]->put(dirent_key(r.parent, r.leaf),
+  return shards_[shard]->put(mds::inode_key(r.parent, r.leaf),
                              encode_dirent(r.ino, r.is_dir, attr));
 }
 
@@ -443,7 +431,7 @@ common::Status OrigamiFs::migrate_subtree_resolved(Ino root,
     if (from != target) {
       std::vector<std::pair<std::string, std::string>> relocated;
       shards_[from]->scan_prefix(
-          dirent_prefix(dir),
+          mds::inode_key(dir, {}),
           [&](std::string_view key, std::string_view value) {
             relocated.emplace_back(std::string(key), std::string(value));
             return true;
@@ -460,7 +448,7 @@ common::Status OrigamiFs::migrate_subtree_resolved(Ino root,
     }
     // Enumerate children from the (now-)owning shard and descend.
     shards_[dir_owner(dir)]->scan_prefix(
-        dirent_prefix(dir), [&](std::string_view, std::string_view value) {
+        mds::inode_key(dir, {}), [&](std::string_view, std::string_view value) {
           Ino ino = kInvalidIno;
           bool is_dir = false;
           fsns::InodeAttr attr;
@@ -489,7 +477,7 @@ common::Result<std::uint64_t> OrigamiFs::reassign_dir(Ino dir,
   const std::uint32_t from = dir_owner(dir);
   if (from == target) return std::uint64_t{0};
   std::vector<std::pair<std::string, std::string>> relocated;
-  shards_[from]->scan_prefix(dirent_prefix(dir),
+  shards_[from]->scan_prefix(mds::inode_key(dir, {}),
                              [&](std::string_view key, std::string_view value) {
                                relocated.emplace_back(std::string(key),
                                                       std::string(value));

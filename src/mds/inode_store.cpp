@@ -4,12 +4,11 @@
 
 namespace origami::mds {
 
-std::string inode_key(fsns::NodeId parent, std::string_view name) {
+std::string inode_key(std::uint64_t parent, std::string_view name) {
   std::string key;
   key.reserve(8 + name.size());
-  std::uint64_t p = parent;
   for (int shift = 56; shift >= 0; shift -= 8) {
-    key.push_back(static_cast<char>((p >> shift) & 0xff));
+    key.push_back(static_cast<char>((parent >> shift) & 0xff));
   }
   key.append(name);
   return key;

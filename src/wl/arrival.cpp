@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -49,9 +48,9 @@ class OpenArrival final : public ArrivalPolicy {
 };
 
 /// Deterministic fixed-gap pacing: op `i` arrives at `gap * i`. This is
-/// the live plane's historical open loop (the gap rounding matches
-/// `LiveEngine`'s old `issue_rate` math exactly); it draws nothing, so the
-/// stream is identical under any engine.
+/// the live plane's historical open loop (the gap rounding matches its
+/// original arithmetic exactly); it draws nothing, so the stream is
+/// identical under any engine.
 class PacedArrival final : public ArrivalPolicy {
  public:
   explicit PacedArrival(double rate)
@@ -219,17 +218,37 @@ class TenantArrival final : public ArrivalPolicy {
 
 // ------------------------------------------------------------ validation --
 
-common::Status positive_double(const ArrivalParams& p, const char* key,
+constexpr auto kInt = common::ParamKind::kInt;
+constexpr auto kReal = common::ParamKind::kReal;
+
+/// The tenant state is two slots per tenant; this bounds its memory.
+constexpr std::int64_t kMaxTenants = 1 << 16;
+
+common::Status positive_double(const common::SpecValues& p, const char* key,
                                double fallback) {
-  const double v = p.get_double(key, fallback);
-  if (!(v > 0.0) || !std::isfinite(v)) {
+  if (!(p.get_double(key, fallback) > 0.0)) {
     return common::Status::invalid_argument(
         std::string("parameter '") + key + "' must be a positive number");
   }
   return common::Status::ok();
 }
 
-common::Status unit_interval(const ArrivalParams& p, const char* key,
+/// A duration in milliseconds that converts to at least 1 ns of SimTime
+/// and fits it (a zero period would divide by zero).
+common::Status duration_ms(const common::SpecValues& p, const char* key,
+                           double fallback) {
+  const double v = p.get_double(key, fallback);
+  if (!(v > 0.0 && v <= static_cast<double>(sim::kMaxMillis) &&
+        sim::millis(v) >= 1)) {
+    return common::Status::invalid_argument(
+        std::string("parameter '") + key +
+        "' must be a duration of at least 1 ns and at most " +
+        std::to_string(sim::kMaxMillis) + " ms");
+  }
+  return common::Status::ok();
+}
+
+common::Status unit_interval(const common::SpecValues& p, const char* key,
                              double fallback) {
   const double v = p.get_double(key, fallback);
   if (!(v >= 0.0 && v <= 1.0)) {
@@ -241,148 +260,21 @@ common::Status unit_interval(const ArrivalParams& p, const char* key,
 
 }  // namespace
 
-std::unique_ptr<ArrivalPolicy> make_closed_arrival() {
-  return std::make_unique<ClosedArrival>();
-}
-
-std::unique_ptr<ArrivalPolicy> make_open_arrival(double rate) {
-  return std::make_unique<OpenArrival>(rate);
-}
-
-std::unique_ptr<ArrivalPolicy> make_paced_arrival(double rate) {
-  return std::make_unique<PacedArrival>(rate);
-}
-
-// --------------------------------------------------------------- parsing --
-
-common::Result<ArrivalSpec> parse_arrival_spec(const std::string& spec) {
-  if (spec.empty()) {
-    return common::Status::invalid_argument("empty arrival spec");
-  }
-  ArrivalSpec out;
-  const std::size_t colon = spec.find(':');
-  out.name = spec.substr(0, colon);
-  if (out.name.empty()) {
-    return common::Status::invalid_argument("arrival spec has no name: '" +
-                                            spec + "'");
-  }
-  if (colon == std::string::npos) return out;
-  std::string params = spec.substr(colon + 1);
-  std::size_t pos = 0;
-  while (pos <= params.size()) {
-    const std::size_t comma = params.find(',', pos);
-    const std::string item =
-        params.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return common::Status::invalid_argument(
-          "malformed arrival parameter '" + item + "' in '" + spec +
-          "' (expected key=value)");
-    }
-    out.params.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-bool ArrivalParams::has(const std::string& key) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) return true;
-  }
-  return false;
-}
-
-std::string ArrivalParams::get(const std::string& key,
-                               const std::string& fallback) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) return v;
-  }
-  return fallback;
-}
-
-double ArrivalParams::get_double(const std::string& key,
-                                 double fallback) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) {
-      char* end = nullptr;
-      const double parsed = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0') return std::nan("");
-      return parsed;
-    }
-  }
-  return fallback;
-}
-
-std::int64_t ArrivalParams::get_int(const std::string& key,
-                                    std::int64_t fallback) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') return fallback;
-      return parsed;
-    }
-  }
-  return fallback;
-}
-
 // -------------------------------------------------------------- registry --
 
-const ArrivalEntry* ArrivalRegistry::find(const std::string& name) const {
-  for (const ArrivalEntry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
 common::Status ArrivalRegistry::validate(const std::string& spec) const {
-  auto parsed = parse_arrival_spec(spec);
-  if (!parsed.is_ok()) return parsed.status();
-  const ArrivalEntry* entry = find(parsed.value().name);
-  if (entry == nullptr) {
-    std::string names;
-    for (const ArrivalEntry& e : entries_) {
-      if (!names.empty()) names += ", ";
-      names += e.name;
-    }
-    return common::Status::invalid_argument(
-        "unknown arrival process '" + parsed.value().name +
-        "' (registered: " + names + ")");
-  }
-  for (const auto& [key, value] : parsed.value().params) {
-    bool known = false;
-    for (const ArrivalParamSpec& p : entry->params) {
-      if (p.key == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string keys;
-      for (const ArrivalParamSpec& p : entry->params) {
-        if (!keys.empty()) keys += ", ";
-        keys += p.key;
-      }
-      return common::Status::invalid_argument(
-          "arrival process '" + entry->name + "' has no parameter '" + key +
-          "' (valid: " + (keys.empty() ? "none" : keys) + ")");
-    }
-  }
-  if (entry->check) {
-    return entry->check(ArrivalParams(std::move(parsed).value().params));
-  }
-  return common::Status::ok();
+  auto checked = common::check_entry(entries_, spec, "arrival process");
+  if (!checked.is_ok()) return checked.status();
+  const auto& [entry, values] = checked.value();
+  return entry->check ? entry->check(values) : common::Status::ok();
 }
 
 common::Result<std::unique_ptr<ArrivalPolicy>> ArrivalRegistry::make(
     const std::string& spec, const ArrivalContext& ctx) const {
-  common::Status valid = validate(spec);
-  if (!valid.is_ok()) return valid;
-  auto parsed = parse_arrival_spec(spec);
-  const ArrivalEntry* entry = find(parsed.value().name);
-  return entry->make(ArrivalParams(std::move(parsed).value().params), ctx);
+  if (auto s = validate(spec); !s.is_ok()) return s;
+  const auto checked = common::check_entry(entries_, spec, "arrival process");
+  const auto& [entry, values] = checked.value();
+  return entry->make(values, ctx);
 }
 
 std::string ArrivalRegistry::describe() const {
@@ -396,7 +288,7 @@ std::string ArrivalRegistry::describe() const {
       out << "    params: none\n";
     } else {
       out << "    params:\n";
-      for (const ArrivalParamSpec& p : e.params) {
+      for (const common::ParamDecl& p : e.params) {
         out << "      " << p.key << "=" << p.default_value << "  " << p.summary
             << "\n";
       }
@@ -415,48 +307,51 @@ const ArrivalRegistry& ArrivalRegistry::builtin() {
             "closed-loop", false,
             {},
             nullptr,
-            [](const ArrivalParams&, const ArrivalContext&)
+            [](const common::SpecValues&, const ArrivalContext&)
                 -> common::Result<std::unique_ptr<ArrivalPolicy>> {
-              return std::unique_ptr<ArrivalPolicy>(make_closed_arrival());
+              return std::unique_ptr<ArrivalPolicy>(
+                  std::make_unique<ClosedArrival>());
             }});
 
     r->add({"open",
             "Poisson arrivals at an aggregate offered rate, independent of "
             "completions (latency-vs-load curves)",
             "open-loop", false,
-            {{"rate", "offered load, ops/second", "100000"}},
-            [](const ArrivalParams& p) {
+            {{"rate", "offered load, ops/second", "100000", kReal}},
+            [](const common::SpecValues& p) {
               return positive_double(p, "rate", 100'000.0);
             },
-            [](const ArrivalParams& p, const ArrivalContext&)
+            [](const common::SpecValues& p, const ArrivalContext&)
                 -> common::Result<std::unique_ptr<ArrivalPolicy>> {
               return std::unique_ptr<ArrivalPolicy>(
-                  make_open_arrival(p.get_double("rate", 100'000.0)));
+                  std::make_unique<OpenArrival>(
+                      p.get_double("rate", 100'000.0)));
             }});
 
     r->add({"paced",
             "deterministic fixed-gap arrivals at an aggregate rate (the "
             "live plane's historical --issue-rate)",
             "open-loop", false,
-            {{"rate", "offered load, ops/second", "100000"}},
-            [](const ArrivalParams& p) {
+            {{"rate", "offered load, ops/second", "100000", kReal}},
+            [](const common::SpecValues& p) {
               return positive_double(p, "rate", 100'000.0);
             },
-            [](const ArrivalParams& p, const ArrivalContext&)
+            [](const common::SpecValues& p, const ArrivalContext&)
                 -> common::Result<std::unique_ptr<ArrivalPolicy>> {
               return std::unique_ptr<ArrivalPolicy>(
-                  make_paced_arrival(p.get_double("rate", 100'000.0)));
+                  std::make_unique<PacedArrival>(
+                      p.get_double("rate", 100'000.0)));
             }});
 
     r->add({"trace",
             "replays the workload's native per-op timestamps "
             "(Trace::arrivals; falcon/midas families carry them)",
             "open-loop", true,
-            {{"speed", "time-scale factor (2 = twice as fast)", "1"}},
-            [](const ArrivalParams& p) {
+            {{"speed", "time-scale factor (2 = twice as fast)", "1", kReal}},
+            [](const common::SpecValues& p) {
               return positive_double(p, "speed", 1.0);
             },
-            [](const ArrivalParams& p, const ArrivalContext& ctx)
+            [](const common::SpecValues& p, const ArrivalContext& ctx)
                 -> common::Result<std::unique_ptr<ArrivalPolicy>> {
               if (ctx.trace == nullptr || !ctx.trace->timed()) {
                 return common::Status::failed_precondition(
@@ -474,26 +369,27 @@ const ArrivalRegistry& ArrivalRegistry::builtin() {
             "plus seeded spike windows (nonhomogeneous Poisson, thinned "
             "with a policy-owned generator)",
             "open-loop", false,
-            {{"rate", "base offered load, ops/second", "50000"},
-             {"period-ms", "diurnal period, milliseconds", "1000"},
-             {"amp", "sinusoid amplitude as a fraction of rate", "0.5"},
-             {"spike-prob", "per-period chance of a spike window", "0.25"},
-             {"spike-mult", "rate multiplier inside a spike", "8"},
-             {"spike-ms", "spike window length, milliseconds", "50"},
-             {"seed", "policy-private RNG seed", "1"}},
-            [](const ArrivalParams& p) -> common::Status {
+            {{"rate", "base offered load, ops/second", "50000", kReal},
+             {"period-ms", "diurnal period, milliseconds", "1000", kReal},
+             {"amp", "sinusoid amplitude as a fraction of rate", "0.5", kReal},
+             {"spike-prob", "per-period chance of a spike window", "0.25",
+              kReal},
+             {"spike-mult", "rate multiplier inside a spike", "8", kReal},
+             {"spike-ms", "spike window length, milliseconds", "50", kReal},
+             {"seed", "policy-private RNG seed", "1", kInt}},
+            [](const common::SpecValues& p) -> common::Status {
               if (auto s = positive_double(p, "rate", 50'000.0); !s.is_ok())
                 return s;
-              if (auto s = positive_double(p, "period-ms", 1000.0); !s.is_ok())
+              if (auto s = duration_ms(p, "period-ms", 1000.0); !s.is_ok())
                 return s;
               if (auto s = unit_interval(p, "amp", 0.5); !s.is_ok()) return s;
               if (auto s = unit_interval(p, "spike-prob", 0.25); !s.is_ok())
                 return s;
               if (auto s = positive_double(p, "spike-mult", 8.0); !s.is_ok())
                 return s;
-              return positive_double(p, "spike-ms", 50.0);
+              return duration_ms(p, "spike-ms", 50.0);
             },
-            [](const ArrivalParams& p, const ArrivalContext&)
+            [](const common::SpecValues& p, const ArrivalContext&)
                 -> common::Result<std::unique_ptr<ArrivalPolicy>> {
               return std::unique_ptr<ArrivalPolicy>(
                   std::make_unique<BurstyArrival>(
@@ -510,13 +406,16 @@ const ArrivalRegistry& ArrivalRegistry::builtin() {
             "round-robin tenants, each behind its own token bucket: the "
             "per-tenant rate holds no matter how hot the aggregate runs",
             "open-loop", false,
-            {{"tenants", "tenant count (also the client lane count)", "8"},
-             {"rate", "per-tenant sustained rate, ops/second", "2000"},
-             {"burst", "token-bucket capacity (ops)", "16"}},
-            [](const ArrivalParams& p) -> common::Status {
-              if (p.get_int("tenants", 8) < 1) {
+            {{"tenants", "tenant count (also the client lane count)", "8",
+              kInt},
+             {"rate", "per-tenant sustained rate, ops/second", "2000", kReal},
+             {"burst", "token-bucket capacity (ops)", "16", kReal}},
+            [](const common::SpecValues& p) -> common::Status {
+              const std::int64_t tenants = p.get_int("tenants", 8);
+              if (tenants < 1 || tenants > kMaxTenants) {
                 return common::Status::invalid_argument(
-                    "parameter 'tenants' must be >= 1");
+                    "parameter 'tenants' must be within [1, " +
+                    std::to_string(kMaxTenants) + "]");
               }
               if (auto s = positive_double(p, "rate", 2000.0); !s.is_ok())
                 return s;
@@ -526,7 +425,7 @@ const ArrivalRegistry& ArrivalRegistry::builtin() {
               }
               return common::Status::ok();
             },
-            [](const ArrivalParams& p, const ArrivalContext&)
+            [](const common::SpecValues& p, const ArrivalContext&)
                 -> common::Result<std::unique_ptr<ArrivalPolicy>> {
               return std::unique_ptr<ArrivalPolicy>(
                   std::make_unique<TenantArrival>(
@@ -541,21 +440,13 @@ const ArrivalRegistry& ArrivalRegistry::builtin() {
 }
 
 std::unique_ptr<ArrivalPolicy> resolve_arrival(const std::string& spec,
-                                               double legacy_rate,
-                                               bool poisson_legacy,
                                                const ArrivalContext& ctx) {
-  if (!spec.empty()) {
-    auto made = ArrivalRegistry::builtin().make(spec, ctx);
-    if (!made.is_ok()) {
-      throw std::invalid_argument("--arrival: " + made.status().to_string());
-    }
-    return std::move(made).value();
+  if (spec.empty()) return std::make_unique<ClosedArrival>();
+  auto made = ArrivalRegistry::builtin().make(spec, ctx);
+  if (!made.is_ok()) {
+    throw std::invalid_argument("--arrival: " + made.status().to_string());
   }
-  if (legacy_rate > 0.0) {
-    return poisson_legacy ? make_open_arrival(legacy_rate)
-                          : make_paced_arrival(legacy_rate);
-  }
-  return make_closed_arrival();
+  return std::move(made).value();
 }
 
 }  // namespace origami::wl

@@ -1,14 +1,16 @@
-// Tests for the arrival plane (wl/arrival.hpp): spec parsing, strict
-// registry validation, the catalogue, the legacy-mapping resolver, and —
-// the load-bearing part — the golden byte-identity contract: the closed
-// and open loops replayed through `ArrivalPolicy` must reproduce the
-// pre-refactor engines' output exactly, in BOTH execution planes (epoch
-// DES and live service), clean and faulted, across seeds. The goldens in
+// Tests for the arrival plane (wl/arrival.hpp): strict registry
+// validation, the catalogue, the resolver, and — the load-bearing part —
+// the golden byte-identity contract: the closed and open loops (the specs
+// `open:rate=R` and `paced:rate=R`) replayed through `ArrivalPolicy` must
+// reproduce the pre-refactor engines' output exactly, in BOTH execution
+// planes (epoch DES and live service), clean and faulted, across seeds.
+// The goldens in
 // tests/support/arrival_goldens.inc were captured before the refactor;
 // regenerate them only with tools/goldens.cpp and audit the diff.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,56 +95,7 @@ TEST(ArrivalGolden, LivePlaneByteIdenticalToPreRefactorEngines) {
   }
 }
 
-// The explicit spec spellings construct the same processes as the legacy
-// field mapping — `--arrival=open:rate=R` IS the old `open_loop_rate = R`.
-TEST(ArrivalGolden, ExplicitSpecsMatchLegacyFieldMapping) {
-  const std::uint64_t seed = 2;
-  const wl::Trace trace = testing::golden_trace(seed);
-  {
-    auto opt = testing::golden_epoch_options(seed, /*faulted=*/true,
-                                             /*open=*/false);
-    opt.arrival = "closed";
-    EXPECT_EQ(testing::run_result_fingerprint(run_epoch(trace, opt)),
-              golden_for(key_of("epoch", seed, true, false)));
-  }
-  {
-    auto opt = testing::golden_epoch_options(seed, /*faulted=*/true,
-                                             /*open=*/true);
-    opt.open_loop_rate = 0.0;
-    opt.arrival = "open:rate=120000";
-    EXPECT_EQ(testing::run_result_fingerprint(run_epoch(trace, opt)),
-              golden_for(key_of("epoch", seed, true, true)));
-  }
-  {
-    auto opt = testing::golden_live_options(seed, /*faulted=*/true,
-                                            /*open=*/true);
-    opt.issue_rate = 0.0;
-    opt.arrival = "paced:rate=150000";
-    EXPECT_EQ(testing::live_stats_fingerprint(run_live(trace, opt)),
-              golden_for(key_of("live", seed, true, true)));
-  }
-}
-
-// ----------------------------------------------------------- spec parsing --
-
-TEST(ArrivalSpec, ParsesNameAndParams) {
-  auto r = wl::parse_arrival_spec("bursty:rate=9000,amp=0.3");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value().name, "bursty");
-  ASSERT_EQ(r.value().params.size(), 2u);
-  EXPECT_EQ(r.value().params[0].first, "rate");
-  EXPECT_EQ(r.value().params[0].second, "9000");
-  EXPECT_EQ(r.value().params[1].first, "amp");
-  EXPECT_EQ(r.value().params[1].second, "0.3");
-}
-
-TEST(ArrivalSpec, RejectsMalformedSpecs) {
-  for (const char* bad : {"", ":k=v", "x:novalue", "x:=3", "x:a=1,b",
-                          "x:a=1,", "x:,a=1"}) {
-    EXPECT_FALSE(wl::parse_arrival_spec(bad).is_ok())
-        << "accepted malformed spec '" << bad << "'";
-  }
-}
+// ------------------------------------------------------------- registry --
 
 TEST(ArrivalRegistry, UnknownNameListsRegisteredProcesses) {
   const auto s = wl::ArrivalRegistry::builtin().validate("warble");
@@ -164,14 +117,18 @@ TEST(ArrivalRegistry, RejectsOutOfRangeValues) {
        {"open:rate=-1", "open:rate=0", "open:rate=nope", "paced:rate=-2",
         "trace:speed=0", "bursty:rate=-5", "bursty:spike-prob=1.5",
         "bursty:amp=-0.1", "tenant:tenants=0", "tenant:rate=-1",
-        "tenant:burst=0"}) {
+        "tenant:burst=0", "bursty:seed=abc", "bursty:seed=-1",
+        "bursty:seed=", "tenant:tenants=abc", "tenant:tenants=2.5",
+        "tenant:tenants=65537", "bursty:period-ms=0.0000001",
+        "bursty:spike-ms=1e300", "open:rate=1,rate=2"}) {
     EXPECT_FALSE(reg.validate(bad).is_ok())
         << "accepted out-of-range spec '" << bad << "'";
   }
   for (const char* good :
        {"closed", "open", "open:rate=1", "paced:rate=250000",
         "trace:speed=0.5", "bursty:spike-prob=0", "bursty:amp=1",
-        "tenant:tenants=3,rate=100,burst=1"}) {
+        "tenant:tenants=3,rate=100,burst=1", "tenant:tenants=65536",
+        "bursty:seed=9223372036854775807,period-ms=0.00001"}) {
     EXPECT_TRUE(reg.validate(good).is_ok())
         << "rejected valid spec '" << good << "': "
         << reg.validate(good).to_string();
@@ -207,24 +164,12 @@ TEST(ArrivalRegistry, DescribeCoversEveryEntry) {
   }
 }
 
-// -------------------------------------------------------- legacy resolver --
-
-TEST(ArrivalResolve, LegacyMappingSelectsThePlanesHistoricalLoop) {
-  EXPECT_STREQ(wl::resolve_arrival("", 0.0, true, {})->name(), "closed");
-  EXPECT_STREQ(wl::resolve_arrival("", 0.0, false, {})->name(), "closed");
-  EXPECT_STREQ(wl::resolve_arrival("", 5000.0, true, {})->name(), "open");
-  EXPECT_STREQ(wl::resolve_arrival("", 5000.0, false, {})->name(), "paced");
-  // An explicit spec wins over the legacy rate.
-  EXPECT_STREQ(wl::resolve_arrival("closed", 5000.0, true, {})->name(),
-               "closed");
-  EXPECT_THROW((void)wl::resolve_arrival("warble", 0.0, true, {}),
-               std::invalid_argument);
-  EXPECT_THROW((void)wl::resolve_arrival("open:rate=-1", 0.0, true, {}),
-               std::invalid_argument);
-}
+// ---------------------------------------------------------------- resolver --
 
 TEST(ArrivalResolve, PacedGapMatchesLegacyArithmetic) {
-  auto paced = wl::make_paced_arrival(150'000.0);
+  auto made = wl::ArrivalRegistry::builtin().make("paced:rate=150000", {});
+  ASSERT_TRUE(made.is_ok()) << made.status().to_string();
+  const auto paced = std::move(made).value();
   common::Xoshiro256 rng(1);
   // Legacy: gap = max(1, llround(1e9 / rate)); arrival(i) = gap * i.
   const sim::SimTime gap = 6667;
@@ -236,6 +181,13 @@ TEST(ArrivalResolve, PacedGapMatchesLegacyArithmetic) {
 // ------------------------------------------------ engine-level invariants --
 
 TEST(ArrivalEngine, RunResultNamesTheArrivalProcess) {
+  // An empty spec is the closed loop; a spec the registry rejects throws
+  // rather than running a different workload.
+  EXPECT_STREQ(wl::resolve_arrival("", {})->name(), "closed");
+  EXPECT_THROW((void)wl::resolve_arrival("warble", {}), std::invalid_argument);
+  EXPECT_THROW((void)wl::resolve_arrival("open:rate=-1", {}),
+               std::invalid_argument);
+
   const wl::Trace trace = testing::golden_trace(1);
   auto opt = testing::golden_epoch_options(1, false, false);
   opt.arrival = "bursty:rate=150000,seed=9";

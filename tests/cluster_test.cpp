@@ -331,5 +331,94 @@ TEST(OptionsFromFlags, KvWalDirOptionalOutsideAsyncKvBacking) {
   EXPECT_TRUE(async_model.is_ok()) << async_model.status().to_string();
 }
 
+void expect_rejected(const char* flag, const char* value) {
+  const std::string name = std::string("--") + flag;
+  auto r = parse({name.c_str(), value});
+  ASSERT_FALSE(r.is_ok()) << name << " '" << value << "' accepted";
+  EXPECT_EQ(r.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find(name), std::string::npos)
+      << r.status().to_string();
+}
+
+TEST(OptionsFromFlags, RejectsZeroMdsClientsAndEpochs) {
+  // --mds=0 segfaulted, --epoch-ms=0 never finished, and --clients=0
+  // issued nothing.
+  for (const char* flag : {"mds", "clients", "epoch-ms"}) {
+    expect_rejected(flag, "0");
+  }
+}
+
+TEST(OptionsFromFlags, RejectsIntegersThatAreNotPlainDigits) {
+  // strtoll read "abc" as 0, "-3" as 4,294,967,293 clients and "1e3" as 1.
+  expect_rejected("mds", "abc");
+  expect_rejected("clients", "-3");
+  expect_rejected("epoch-ms", "1e3");
+  expect_rejected("commit-batch", "64x");
+  expect_rejected("fault-recovery-ms", "");
+  expect_rejected("retry-max", "+2");
+  expect_rejected("mds", "4294967296");
+}
+
+TEST(OptionsFromFlags, RejectsProbabilitiesOutsideTheUnitInterval) {
+  // strtod read "abc" as 0 (a fault-free run) and "0.2x" as 0.2.
+  expect_rejected("fault-crash-prob", "abc");
+  expect_rejected("fault-crash-prob", "0.2x");
+  expect_rejected("fault-crash-prob", "1.5");
+  expect_rejected("fault-straggler-prob", "-0.1");
+  expect_rejected("fault-loss-prob", "nan");
+  expect_rejected("fault-corrupt-prob", "inf");
+}
+
+TEST(OptionsFromFlags, RejectsMalformedCrashSchedules) {
+  // Trailing characters, negative starts and durations, and an MDS the
+  // cluster does not have were all accepted; the last one never crashed.
+  for (const char* bad :
+       {"1@5+3xyz", "1@-5+3", "1@5+-3", "9@5+3", "5@5+3", "1@5+3,", "",
+        "1@5", "@5+3", "1@+3", "x@5+3", "-1@5+3", "1@5+3,,2@1+1"}) {
+    expect_rejected("fault-crash-at", bad);
+  }
+  auto r = parse({"--mds", "10", "--fault-crash-at", "9@5+3"});
+  EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+}
+
+TEST(OptionsFromFlags, ParsesCrashSchedule) {
+  auto parsed = parse({"--fault-crash-at", "1@5+3,0@0+0,4@1e3+2.5"});
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const auto& windows = parsed.value().faults.scheduled;
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_EQ(windows[0].mds, 1u);
+  EXPECT_EQ(windows[0].kind, fault::FaultKind::kCrash);
+  EXPECT_EQ(windows[0].from, sim::millis(5));
+  EXPECT_EQ(windows[0].until, sim::millis(8));
+  EXPECT_EQ(windows[1].from, 0);
+  EXPECT_EQ(windows[1].until, 0);
+  EXPECT_EQ(windows[2].mds, 4u);
+  EXPECT_EQ(windows[2].from, sim::millis(1000));
+  EXPECT_EQ(windows[2].until, sim::millis(1000) + sim::millis(2.5));
+}
+
+TEST(OptionsFromFlags, ReadsTheValuesCiAndTheBenchesPass) {
+  auto parsed = parse({"--mds",           "5",    "--clients",
+                       "50",              "--epoch-ms", "50",
+                       "--warmup-epochs", "2",    "--fault-seed",
+                       "911",             "--fault-crash-prob", "0.05",
+                       "--fault-recovery-ms", "300", "--commit-window",
+                       "2",               "--commit-batch", "64",
+                       "--retry-timeout-ms", "0.5", "--shard-threads", "4"});
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const ReplayOptions opt = std::move(parsed).value();
+  EXPECT_EQ(opt.mds_count, 5u);
+  EXPECT_EQ(opt.clients, 50u);
+  EXPECT_EQ(opt.epoch_length, sim::millis(50));
+  EXPECT_EQ(opt.warmup_epochs, 2u);
+  EXPECT_EQ(opt.faults.seed, 911u);
+  EXPECT_EQ(opt.faults.crash_prob, 0.05);
+  EXPECT_EQ(opt.faults.crash_recovery, sim::millis(300));
+  EXPECT_EQ(opt.recovery.commit_window, sim::millis(2.0));
+  EXPECT_EQ(opt.recovery.commit_batch, 64u);
+  EXPECT_EQ(opt.retry.timeout, sim::millis(0.5));
+  EXPECT_EQ(opt.shard_threads, 4u);
+}
+
 }  // namespace
 }  // namespace origami::cluster

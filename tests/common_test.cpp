@@ -9,14 +9,18 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "origami/common/csv.hpp"
 #include "origami/common/hash.hpp"
 #include "origami/common/histogram.hpp"
 #include "origami/common/log.hpp"
-#include "origami/common/mpmc_queue.hpp"
 #include "origami/common/rng.hpp"
+#include "origami/common/spec.hpp"
 #include "origami/common/status.hpp"
 #include "origami/common/thread_pool.hpp"
 #include "origami/common/zipf.hpp"
@@ -512,55 +516,125 @@ TEST(ThreadPool, ParallelForEmptyRange) {
   EXPECT_FALSE(called);
 }
 
-// ------------------------------------------------------------ MPMC queue --
+// ---------------------------------------------------------- spec grammar --
 
-TEST(MpmcQueue, FifoSingleThread) {
-  MpmcQueue<int> q;
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  EXPECT_EQ(q.try_pop().value(), 1);
-  EXPECT_EQ(q.try_pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_FALSE(q.try_pop().has_value());
+TEST(SpecGrammar, ParsesNameAndParams) {
+  auto bare = parse_spec("origami");
+  ASSERT_TRUE(bare.is_ok());
+  EXPECT_EQ(bare.value().name, "origami");
+  EXPECT_TRUE(bare.value().params.empty());
+
+  using Params = std::vector<std::pair<std::string, std::string>>;
+  auto policy = parse_spec("origami:budget=4,min-ops=2,trigger=0.2");
+  ASSERT_TRUE(policy.is_ok());
+  EXPECT_EQ(policy.value().name, "origami");
+  EXPECT_EQ(policy.value().params,
+            (Params{{"budget", "4"}, {"min-ops", "2"}, {"trigger", "0.2"}}));
+
+  auto arrival = parse_spec("bursty:rate=9000,amp=0.3");
+  ASSERT_TRUE(arrival.is_ok());
+  EXPECT_EQ(arrival.value().name, "bursty");
+  EXPECT_EQ(arrival.value().params, (Params{{"rate", "9000"}, {"amp", "0.3"}}));
+
+  // Only the first '=' splits: the rest belongs to the value.
+  auto eq = parse_spec("x:a=b=c");
+  ASSERT_TRUE(eq.is_ok());
+  EXPECT_EQ(eq.value().params, (Params{{"a", "b=c"}}));
 }
 
-TEST(MpmcQueue, CloseWakesConsumers) {
-  MpmcQueue<int> q;
-  std::thread consumer([&] {
-    const auto v = q.pop();
-    EXPECT_FALSE(v.has_value());
-  });
-  q.close();
-  consumer.join();
+TEST(SpecGrammar, RejectsMalformedSpecs) {
+  for (const char* bad : {"", ":k=v", "x:novalue", "x:=3", "x:a=1,b",
+                          "x:a=1,", "x:,a=1", "x:"}) {
+    auto r = parse_spec(bad);
+    EXPECT_FALSE(r.is_ok()) << "accepted malformed spec '" << bad << "'";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
-TEST(MpmcQueue, MultiProducerMultiConsumerDeliversAll) {
-  MpmcQueue<int> q;
-  std::atomic<long> sum{0};
-  std::atomic<int> received{0};
-  constexpr int kPerProducer = 2000;
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = q.pop()) {
-        sum.fetch_add(*v);
-        received.fetch_add(1);
-      }
-    });
+const std::vector<ParamDecl> kDecls = {
+    {"a", "a real", "2.5", ParamKind::kReal},
+    {"b", "an integer", "7", ParamKind::kInt},
+};
+
+Result<SpecValues> checked(std::string_view text) {
+  auto spec = parse_spec(text);
+  if (!spec.is_ok()) return spec.status();
+  return check_spec(spec.value(), kDecls, "entry 'p'");
+}
+
+TEST(SpecGrammar, ReadsEachValueOnceByItsDeclaredKind) {
+  auto values = checked("p:a=0.05,b=9223372036854775807");
+  ASSERT_TRUE(values.is_ok()) << values.status().to_string();
+  EXPECT_EQ(values.value().get_double("a", 0.0), 0.05);  // strtod's double
+  EXPECT_EQ(values.value().get_int("b", 0), INT64_MAX);
+  EXPECT_EQ(values.value().get_int("c", 42), 42);  // unset: the fallback
+
+  auto empty = checked("p");
+  ASSERT_TRUE(empty.is_ok());
+  EXPECT_EQ(empty.value().get_double("a", 0.2), 0.2);
+
+  // Reading a key as the other kind is a registry bug, not bad input.
+  EXPECT_THROW((void)values.value().get_int("a", 0), std::bad_variant_access);
+  EXPECT_THROW((void)values.value().get_double("b", 0), std::bad_variant_access);
+}
+
+TEST(SpecGrammar, IntegersArePlainDigitsWithinInt64) {
+  for (const char* bad : {"1e3", "2.9", "-3", "+3", " 5", "5 ", "", "abc",
+                          "0x10", "9223372036854775808"}) {
+    auto r = checked(std::string("p:b=") + bad);
+    ASSERT_FALSE(r.is_ok()) << "accepted b='" << bad << "'";
+    EXPECT_NE(r.status().message().find("expected an integer"),
+              std::string::npos)
+        << r.status().to_string();
   }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&q] {
-      for (int i = 1; i <= kPerProducer; ++i) ASSERT_TRUE(q.push(i));
-    });
+  for (const auto& [text, value] :
+       std::vector<std::pair<const char*, std::int64_t>>{
+           {"0", 0}, {"007", 7}, {"1000", 1000}}) {
+    auto r = checked(std::string("p:b=") + text);
+    ASSERT_TRUE(r.is_ok()) << text << ": " << r.status().to_string();
+    EXPECT_EQ(r.value().get_int("b", -1), value) << text;
   }
-  for (auto& t : producers) t.join();
-  while (q.size() > 0) std::this_thread::yield();
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(received.load(), 3 * kPerProducer);
-  EXPECT_EQ(sum.load(), 3L * kPerProducer * (kPerProducer + 1) / 2);
+}
+
+TEST(SpecGrammar, RealsAreWholeFiniteNumbers) {
+  for (const char* bad : {"abc", "0.1x", "nan", "inf", "-inf", "1e999", "",
+                          "1,5"}) {
+    auto r = checked(std::string("p:a=") + bad);
+    EXPECT_FALSE(r.is_ok()) << "accepted a='" << bad << "'";
+  }
+  for (const auto& [text, value] : std::vector<std::pair<const char*, double>>{
+           {"1e-1", 0.1}, {"-3", -3.0}, {"1e3", 1000.0}, {"0.2", 0.2}}) {
+    auto r = checked(std::string("p:a=") + text);
+    ASSERT_TRUE(r.is_ok()) << text << ": " << r.status().to_string();
+    EXPECT_EQ(r.value().get_double("a", 0.0), value) << text;
+  }
+}
+
+TEST(SpecGrammar, EmbeddedNulCannotCutAValueShort) {
+  const std::string int_nul("p:b=1\0x", 7);
+  const std::string real_nul("p:a=2.5\0", 8);
+  EXPECT_FALSE(checked(int_nul).is_ok());
+  EXPECT_FALSE(checked(real_nul).is_ok());
+  EXPECT_FALSE(parse_int(std::string_view("1\0", 2)).is_ok());
+  EXPECT_FALSE(parse_real(std::string_view("1\0", 2)).is_ok());
+}
+
+TEST(SpecGrammar, RejectsUndeclaredAndRepeatedKeys) {
+  auto unknown = checked("p:c=1");
+  ASSERT_FALSE(unknown.is_ok());
+  EXPECT_NE(unknown.status().message().find(
+                "entry 'p' has no parameter 'c' (it takes: a, b)"),
+            std::string::npos)
+      << unknown.status().to_string();
+
+  auto none = check_spec(parse_spec("q:a=1").value(), {}, "entry 'q'");
+  ASSERT_FALSE(none.is_ok());
+  EXPECT_NE(none.status().message().find("(it takes none)"),
+            std::string::npos);
+
+  auto twice = checked("p:b=1,b=2");
+  ASSERT_FALSE(twice.is_ok());
+  EXPECT_NE(twice.status().message().find("twice"), std::string::npos);
 }
 
 // ------------------------------------------------------------------- Log --

@@ -1,10 +1,9 @@
 // Regression and contention coverage for the concurrency primitives that
-// carry the live serving plane: MpmcQueue / BoundedMpmcQueue (the request
-// lanes) and ThreadPool (the analysis plane). The first two suites encode
-// the silent-drop fix — a push racing close() must be *rejected*, never
-// dropped — and the ThreadPool suite encodes the exception-loss fix (a
-// throwing task used to escape worker_loop and std::terminate the
-// process). These tests are also the TSan targets for the primitives: the
+// carry the live serving plane: BoundedMpmcQueue (the request lanes) and
+// ThreadPool (the analysis plane). The queue suite encodes the silent-drop
+// fix — a push racing close() must be *rejected*, never dropped — and the
+// ThreadPool suite encodes the exception-loss fix (a throwing task used to
+// escape worker_loop and std::terminate the process). These tests are also the TSan targets for the primitives: the
 // sweep tests run real producer/consumer contention with mid-stream
 // close(), which is exactly the shutdown interleaving the serving plane
 // exercises on every finalize.
@@ -24,128 +23,7 @@
 namespace {
 
 using origami::common::BoundedMpmcQueue;
-using origami::common::MpmcQueue;
 using origami::common::ThreadPool;
-
-// ---------------------------------------------------------------------------
-// MpmcQueue: close() semantics and the silent-drop regression.
-// ---------------------------------------------------------------------------
-
-TEST(MpmcQueue, PushAfterCloseIsRejectedNotDropped) {
-  MpmcQueue<int> q;
-  EXPECT_TRUE(q.push(1));
-  q.close();
-  // Pre-fix behaviour: push returned void and the item vanished. Now the
-  // producer is told its item never entered the queue.
-  EXPECT_FALSE(q.push(2));
-  auto got = q.pop();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 1);
-  EXPECT_EQ(q.pop(), std::nullopt);  // drained + closed
-}
-
-TEST(MpmcQueue, CloseRaceAccountsForEveryItem) {
-  // Producers race a mid-stream close(). The accounting invariant the
-  // serving plane relies on: every item is either consumed or its push
-  // returned false — accepted == consumed, with no third outcome. On the
-  // pre-fix queue the producers cannot observe rejection, so items pushed
-  // after close() are silently lost and this bookkeeping is impossible.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 4000;
-  MpmcQueue<int> q;
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> consumed{0};
-
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, &accepted] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        if (q.push(i)) accepted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  std::vector<std::thread> consumers;
-  consumers.reserve(2);
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&q, &consumed] {
-      while (q.pop().has_value()) {
-        consumed.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  // Close somewhere in the middle of the stream so some pushes are
-  // accepted and (almost certainly) some are rejected.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  q.close();
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-
-  EXPECT_EQ(consumed.load(), accepted.load());
-  EXPECT_LE(accepted.load(),
-            static_cast<std::uint64_t>(kProducers) * kPerProducer);
-}
-
-TEST(MpmcQueue, ContendedPopTryPopCloseSweep) {
-  // TSan sweep: blocking pops, spinning try_pops, and close() all contend
-  // on the same queue. Every accepted item must be consumed exactly once.
-  constexpr int kProducers = 3;
-  constexpr int kPerProducer = 3000;
-  MpmcQueue<std::uint64_t> q;
-  std::atomic<std::uint64_t> accepted{0};
-  std::atomic<std::uint64_t> consumed_sum{0};
-  std::atomic<std::uint64_t> pushed_sum{0};
-  std::atomic<bool> producers_done{false};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t v =
-            static_cast<std::uint64_t>(p) * kPerProducer + i + 1;
-        if (q.push(v)) {
-          accepted.fetch_add(1, std::memory_order_relaxed);
-          pushed_sum.fetch_add(v, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (int c = 0; c < 2; ++c) {  // blocking consumers
-    threads.emplace_back([&] {
-      while (auto v = q.pop()) {
-        consumed_sum.fetch_add(*v, std::memory_order_relaxed);
-      }
-    });
-  }
-  threads.emplace_back([&] {  // polling consumer
-    while (true) {
-      if (auto v = q.try_pop()) {
-        consumed_sum.fetch_add(*v, std::memory_order_relaxed);
-      } else if (producers_done.load(std::memory_order_acquire) &&
-                 q.closed()) {
-        break;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-
-  // Close mid-stream, but never before the first push lands: on a loaded
-  // host the producers may not have run at all within the head start.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  while (accepted.load(std::memory_order_relaxed) == 0) {
-    std::this_thread::yield();
-  }
-  q.close();
-  for (int t = 0; t < kProducers; ++t) threads[t].join();
-  producers_done.store(true, std::memory_order_release);
-  for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-  // try_pop can race the blocking consumers for the last items, but the
-  // sums must balance: nothing lost, nothing duplicated.
-  EXPECT_EQ(consumed_sum.load(), pushed_sum.load());
-  EXPECT_GT(accepted.load(), 0u);
-}
 
 // ---------------------------------------------------------------------------
 // BoundedMpmcQueue: backpressure + close() semantics of the request lanes.

@@ -261,7 +261,7 @@ TEST(OpenLoop, BelowCapacityIsStableAndDeterministic) {
 
   cluster::ReplayOptions opt;
   opt.mds_count = 3;
-  opt.open_loop_rate = 5'000.0;  // far below ~3x20k capacity
+  opt.arrival = "open:rate=5000";  // far below ~3x20k capacity
   opt.loop_trace = true;
   opt.time_limit = sim::seconds(2);
   opt.epoch_length = sim::millis(500);
@@ -289,11 +289,11 @@ TEST(OpenLoop, OverloadBuildsQueues) {
 
   cluster::ReplayOptions light;
   light.mds_count = 1;
-  light.open_loop_rate = 5'000.0;
+  light.arrival = "open:rate=5000";
   light.loop_trace = true;
   light.time_limit = sim::seconds(2);
   cluster::ReplayOptions heavy = light;
-  heavy.open_loop_rate = 40'000.0;  // ~2x a single MDS's capacity
+  heavy.arrival = "open:rate=40000";  // ~2x a single MDS's capacity
 
   cluster::StaticBalancer b1(cluster::StaticBalancer::Kind::kSingle);
   cluster::StaticBalancer b2(cluster::StaticBalancer::Kind::kSingle);

@@ -1,8 +1,8 @@
-// Tests for the policy registry (policy/registry.hpp): spec parsing,
-// strict validation, the catalogue, construct-from-spec round trips, the
-// golden byte-identity contract (registry-constructed legacy balancers
-// replay bit-identically to historical direct constructions), the
-// model-driven epoch policies' byte-identity goldens, the live forms
+// Tests for the policy registry (policy/registry.hpp): strict validation,
+// the catalogue, construct-from-spec round trips, the golden byte-identity
+// contract (registry-constructed legacy balancers replay bit-identically
+// to historical direct constructions), the model-driven epoch policies'
+// byte-identity goldens, the live forms
 // (policy/live.hpp: byte-identity goldens, and every PREPARE naming the
 // subtree's current owner), observer hook ordering, and the shared
 // TriggerSmoother.
@@ -63,46 +63,6 @@ ReplayOptions with_faults(ReplayOptions opt) {
   return opt;
 }
 
-// ------------------------------------------------------------- parsing --
-
-TEST(PolicySpec, ParsesBareName) {
-  auto r = policy::parse_policy_spec("origami");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value().name, "origami");
-  EXPECT_TRUE(r.value().params.empty());
-}
-
-TEST(PolicySpec, ParsesParams) {
-  auto r = policy::parse_policy_spec("origami:budget=4,min-ops=2,trigger=0.2");
-  ASSERT_TRUE(r.is_ok());
-  const auto& spec = r.value();
-  EXPECT_EQ(spec.name, "origami");
-  ASSERT_EQ(spec.params.size(), 3u);
-  EXPECT_EQ(spec.params[0].first, "budget");
-  EXPECT_EQ(spec.params[0].second, "4");
-  EXPECT_EQ(spec.params[2].first, "trigger");
-  EXPECT_EQ(spec.params[2].second, "0.2");
-}
-
-TEST(PolicySpec, RejectsMalformedSpecs) {
-  EXPECT_FALSE(policy::parse_policy_spec("").is_ok());
-  EXPECT_FALSE(policy::parse_policy_spec(":k=v").is_ok());
-  EXPECT_FALSE(policy::parse_policy_spec("x:novalue").is_ok());
-  EXPECT_FALSE(policy::parse_policy_spec("x:=3").is_ok());
-  EXPECT_FALSE(policy::parse_policy_spec("x:a=1,b").is_ok());
-}
-
-TEST(PolicySpec, ParamMapTypedAccess) {
-  auto r = policy::parse_policy_spec("p:a=2.5,b=7");
-  ASSERT_TRUE(r.is_ok());
-  const policy::ParamMap p(r.value().params);
-  EXPECT_TRUE(p.has("a"));
-  EXPECT_FALSE(p.has("c"));
-  EXPECT_DOUBLE_EQ(p.get_double("a", 0.0), 2.5);
-  EXPECT_EQ(p.get_int("b", 0), 7);
-  EXPECT_EQ(p.get_int("c", 42), 42);
-}
-
 // ---------------------------------------------------- strict validation --
 
 TEST(PolicyRegistry, UnknownPolicyListsRegisteredNames) {
@@ -122,19 +82,30 @@ TEST(PolicyRegistry, UnknownParamListsValidKeys) {
 
 TEST(PolicyRegistry, RejectsValuesThatAreNotFiniteNumbers) {
   const Registry& r = Registry::builtin();
+  // Integer parameters take plain decimal digits only: strtoll used to read
+  // "1e3" as 1, "2.9" as 2, and "-3" as no budget at all.
   for (const char* spec :
-       {"greedy-spill:budget=abc", "origami:trigger=0.1x", "origami:budget=",
-        "origami:trigger=nan", "load-frac:alpha=inf"}) {
+       {"greedy-spill:budget=abc", "origami:budget=", "greedy-spill:budget=1e3",
+        "greedy-spill:budget=2.9", "greedy-spill:budget=-3",
+        "greedy-spill:budget=+3", "greedy-spill:budget= 5",
+        "greedy-spill:min-ops=-1", "greedy-spill:budget=9223372036854775808",
+        "origami:trigger=0.1x", "origami:trigger=nan",
+        "load-frac:alpha=inf"}) {
     const auto s = r.validate(spec);
     ASSERT_FALSE(s.is_ok()) << spec;
-    EXPECT_NE(s.to_string().find("expected a finite number"),
+    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument) << spec;
+    const bool real = std::string(spec).find("budget") == std::string::npos &&
+                      std::string(spec).find("min-ops") == std::string::npos;
+    EXPECT_NE(s.to_string().find(real ? "expected a finite number"
+                                      : "expected an integer of decimal"),
               std::string::npos)
-        << spec;
+        << spec << ": " << s.to_string();
     policy::PolicyContext ctx;
     EXPECT_FALSE(r.make(spec, ctx).is_ok()) << spec;
   }
   EXPECT_FALSE(r.make_live("greedy-spill:budget=abc", {}).is_ok());
   EXPECT_TRUE(r.validate("origami:trigger=1e-1,budget=8").is_ok());
+  EXPECT_TRUE(r.validate("greedy-spill:budget=9223372036854775807").is_ok());
 }
 
 TEST(PolicyRegistry, EveryEntryValidatesBareAndWithDeclaredParams) {
@@ -142,7 +113,7 @@ TEST(PolicyRegistry, EveryEntryValidatesBareAndWithDeclaredParams) {
   EXPECT_GE(r.entries().size(), 10u);
   for (const policy::Entry& e : r.entries()) {
     EXPECT_TRUE(r.validate(e.name).is_ok()) << e.name;
-    for (const policy::ParamSpec& p : e.params) {
+    for (const common::ParamDecl& p : e.params) {
       EXPECT_TRUE(r.validate(e.name + ":" + p.key + "=" + p.default_value)
                       .is_ok())
           << e.name << ":" << p.key;
@@ -154,7 +125,7 @@ TEST(PolicyRegistry, DescribeListsEveryPolicyAndSchema) {
   const std::string text = Registry::builtin().describe();
   for (const policy::Entry& e : Registry::builtin().entries()) {
     EXPECT_NE(text.find(e.name), std::string::npos) << e.name;
-    for (const policy::ParamSpec& p : e.params) {
+    for (const common::ParamDecl& p : e.params) {
       EXPECT_NE(text.find(p.key + "=" + p.default_value), std::string::npos)
           << e.name << ":" << p.key;
     }

@@ -16,8 +16,8 @@
 
 namespace origami::testing {
 
-inline constexpr double kGoldenEpochOpenRate = 120'000.0;  // ops/s, Poisson
-inline constexpr double kGoldenLiveOpenRate = 150'000.0;   // ops/s, paced
+inline constexpr const char* kGoldenEpochOpenArrival = "open:rate=120000";
+inline constexpr const char* kGoldenLiveOpenArrival = "paced:rate=150000";
 
 inline wl::Trace golden_trace(std::uint64_t seed) {
   wl::TraceRwConfig cfg;
@@ -38,7 +38,7 @@ inline cluster::ReplayOptions golden_epoch_options(std::uint64_t seed,
   opt.epoch_length = sim::millis(100);
   opt.warmup_epochs = 1;
   opt.seed = seed + 100;
-  if (open) opt.open_loop_rate = kGoldenEpochOpenRate;
+  if (open) opt.arrival = kGoldenEpochOpenArrival;
   if (faulted) {
     opt.faults.seed = seed * 1000 + 7;
     opt.faults.crash_prob = 0.05;
@@ -59,7 +59,7 @@ inline fs::LiveReplayOptions golden_live_options(std::uint64_t seed,
                                                  bool faulted, bool open) {
   fs::LiveReplayOptions opt;
   opt.epoch_ops = 4'000;
-  if (open) opt.issue_rate = kGoldenLiveOpenRate;
+  if (open) opt.arrival = kGoldenLiveOpenArrival;
   if (faulted) {
     opt.faults.seed = seed * 1000 + 7;
     opt.faults.crash_prob = 0.15;

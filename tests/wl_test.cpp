@@ -471,11 +471,13 @@ TEST(TraceIo, RejectsDecreasingArrivalTimestamps) {
 // ------------------------------------------------ hand-made trace files --
 
 /// Writes a trace file field by field, so a test can hand-craft what
-/// save_trace never writes. The file is removed with the writer.
+/// save_trace never writes. The file is named after the running test, so
+/// test cases run as parallel processes never share one; it is removed
+/// with the writer.
 class RawTraceFile {
  public:
-  explicit RawTraceFile(const char* name)
-      : path_(::testing::TempDir() + "/" + name),
+  RawTraceFile()
+      : path_(::testing::TempDir() + "/origami_" + current_test() + ".trace"),
         out_(path_, std::ios::binary | std::ios::trunc) {}
   ~RawTraceFile() { std::remove(path_.c_str()); }
 
@@ -508,6 +510,11 @@ class RawTraceFile {
     return *this;
   }
 
+  static std::string current_test() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    return std::string(info->test_suite_name()) + "." + info->name();
+  }
+
   std::string path_;
   std::ofstream out_;
 };
@@ -521,7 +528,7 @@ struct RawNode {
 /// Loads a version-1 file holding `nodes` (ids from 1; the root is
 /// implicit) and no ops.
 common::Result<Trace> load_tree(const std::vector<RawNode>& nodes) {
-  RawTraceFile file("origami_trace_tree.bin");
+  RawTraceFile file;
   file.header(1).u64(nodes.size() + 1);
   for (const RawNode& n : nodes) file.node(n.parent, n.is_dir, n.name);
   return file.u64(0).load();
@@ -538,7 +545,7 @@ void expect_corruption(const common::Result<Trace>& loaded,
 TEST(TraceIo, LoadsVersion1FilesWithoutArrivalTable) {
   // Handcraft a version-1 stream: identical layout up to the op table, no
   // arrival section at the end. Old trace files must keep loading.
-  RawTraceFile file("origami_trace_v1.bin");
+  RawTraceFile file;
   file.u32(0x4f524754);  // "ORGT"
   file.u32(1);           // version 1: no arrival table
   file.str("legacy-v1");
@@ -594,20 +601,20 @@ TEST(TraceIo, RejectsRepeatedSiblingName) {
 }
 
 TEST(TraceIo, RejectsOpCountPastEndOfFile) {
-  RawTraceFile file("origami_trace_ops.bin");
+  RawTraceFile file;
   file.header(1).u64(2).node(0, false, "f").u64(std::uint64_t{1} << 60);
   expect_corruption(file.load(), "op table runs past the end");
 }
 
 TEST(TraceIo, RejectsArrivalCountPastEndOfFile) {
-  RawTraceFile file("origami_trace_arrivals.bin");
+  RawTraceFile file;
   file.header(2).u64(1).u64(0).u64(std::uint64_t{1} << 60);
   expect_corruption(file.load(), "arrival table runs past the end");
 }
 
 TEST(TraceIo, RejectsNameLengthPastEndOfFile) {
   // A 4 GiB name in a few-byte file: refused before anything is sized.
-  RawTraceFile file("origami_trace_name.bin");
+  RawTraceFile file;
   file.u32(0x4f524754).u32(1).u32(0xffffffffu);
   expect_corruption(file.load(), "truncated trace header");
 }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "origami/cluster/replay.hpp"
 #include "origami/common/csv.hpp"
 #include "origami/common/flags.hpp"
+#include "origami/common/spec.hpp"
 #include "origami/common/thread_pool.hpp"
 #include "origami/fault/fault.hpp"
 #include "origami/policy/registry.hpp"
@@ -39,8 +41,7 @@ constexpr const char* kUsage = R"(usage: origami_sim [options]
   --ops N                  operations to generate (default 300000)
   --seed N                 workload seed (default 1)
   --arrival SPEC           arrival process "name[:key=value,...]" driving
-                           request issuance (default: closed loop, or the
-                           Poisson open loop when a rate is configured; see
+                           request issuance (default: closed loop; see
                            --list-arrivals for the catalogue)
   --trace-speed F          shorthand for --arrival=trace:speed=F (replay the
                            trace's native timestamps, time-scaled)
@@ -108,7 +109,8 @@ bool documented(const std::string& name) {
   return false;
 }
 
-wl::Trace build_trace(const common::Flags& flags) {
+wl::Trace build_trace(const common::Flags& flags, std::uint64_t ops,
+                      std::uint64_t seed) {
   const std::string file = flags.get("trace-file");
   if (!file.empty()) {
     auto loaded = wl::load_trace(file);
@@ -119,8 +121,6 @@ wl::Trace build_trace(const common::Flags& flags) {
     return std::move(loaded).value();
   }
   const std::string family = flags.get("trace", "rw");
-  const auto ops = static_cast<std::uint64_t>(flags.get_int("ops", 300'000));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   if (family == "rw") {
     wl::TraceRwConfig cfg;
     cfg.ops = ops;
@@ -289,24 +289,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // The decision plane (window analysis, Meta-OPT scoring, feature
-  // extraction) shards onto this pool; the DES event loop itself stays
-  // single-threaded, and every output is bit-identical at any setting.
-  if (flags.has("threads")) {
-    common::set_analysis_threads(
-        static_cast<std::size_t>(flags.get_int("threads", 1)));
+  // Every flag value is checked before any work starts. Shared CLI
+  // vocabulary (tools + benches): flags land on top of this tool's
+  // defaults — 500 ms epochs, 4 warm-up epochs.
+  constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+  common::FlagReader read(flags);
+  const std::uint64_t ops = read.int_flag("ops", 1, kMaxInt).value_or(300'000);
+  const std::uint64_t seed = read.int_flag("seed", 0, kMaxInt).value_or(1);
+  const auto threads = read.int_flag("threads", 0, 4096);
+  if (!read.status().is_ok()) {
+    std::fprintf(stderr, "error: %s\n%s", read.status().to_string().c_str(),
+                 kUsage);
+    return 2;
   }
-
-  const wl::Trace trace = build_trace(flags);
-  const auto summary = wl::summarize(trace);
-  std::printf("trace %s: %lu ops, %zu dirs / %zu files, depth<=%u, "
-              "writes %.0f%%\n\n",
-              trace.name.c_str(), static_cast<unsigned long>(summary.total_ops),
-              trace.tree.dir_count(), trace.tree.file_count(),
-              summary.max_depth, summary.write_fraction * 100);
-
-  // Shared CLI vocabulary (tools + benches): flags land on top of this
-  // tool's defaults — 500 ms epochs, 4 warm-up epochs.
   cluster::ReplayOptions base;
   base.epoch_length = sim::millis(500);
   base.warmup_epochs = 4;
@@ -317,19 +312,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const cluster::ReplayOptions opt = std::move(parsed).value();
-
-  // Arrival preconditions are checkable only once the trace exists
-  // (--arrival=trace needs native timestamps): fail with usage now rather
-  // than letting the engine throw mid-run.
-  if (!opt.arrival.empty()) {
-    auto probe = wl::ArrivalRegistry::builtin().make(
-        opt.arrival, {&trace, opt.clients});
-    if (!probe.is_ok()) {
-      std::fprintf(stderr, "error: %s\n%s",
-                   probe.status().to_string().c_str(), kUsage);
-      return 2;
-    }
-  }
 
   // Without --policy, the paper's six, with single on one server.
   const bool all_mode = opt.policy.empty();
@@ -345,8 +327,33 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n%s", s.to_string().c_str(), kUsage);
       return 2;
     }
-    resolved.push_back(
-        registry.find(policy::parse_policy_spec(spec).value().name));
+    resolved.push_back(registry.find(common::parse_spec(spec).value().name));
+  }
+
+  // The decision plane (window analysis, Meta-OPT scoring, feature
+  // extraction) shards onto this pool; the DES event loop itself stays
+  // single-threaded, and every output is bit-identical at any setting.
+  if (threads) common::set_analysis_threads(static_cast<std::size_t>(*threads));
+
+  const wl::Trace trace = build_trace(flags, ops, seed);
+  const auto summary = wl::summarize(trace);
+  std::printf("trace %s: %lu ops, %zu dirs / %zu files, depth<=%u, "
+              "writes %.0f%%\n\n",
+              trace.name.c_str(), static_cast<unsigned long>(summary.total_ops),
+              trace.tree.dir_count(), trace.tree.file_count(),
+              summary.max_depth, summary.write_fraction * 100);
+
+  // Arrival preconditions are checkable only once the trace exists
+  // (--arrival=trace needs native timestamps): fail with usage now rather
+  // than letting the engine throw mid-run.
+  if (!opt.arrival.empty()) {
+    auto probe = wl::ArrivalRegistry::builtin().make(
+        opt.arrival, {&trace, opt.clients});
+    if (!probe.is_ok()) {
+      std::fprintf(stderr, "error: %s\n%s",
+                   probe.status().to_string().c_str(), kUsage);
+      return 2;
+    }
   }
 
   // Train once if any requested policy consumes a model.
@@ -359,9 +366,9 @@ int main(int argc, char** argv) {
     std::printf("training models on a sibling run (seed+98)...\n");
     wl::Trace train_trace = [&] {
       const std::string file = flags.get("trace-file");
-      if (!file.empty()) return build_trace(flags);  // train on same trace
-      const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-      const auto ops = static_cast<std::uint64_t>(flags.get_int("ops", 300'000));
+      if (!file.empty()) {
+        return build_trace(flags, ops, seed);  // train on same trace
+      }
       const std::string family = flags.get("trace", "rw");
       if (family == "ro") {
         wl::TraceRoConfig cfg;
