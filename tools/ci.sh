@@ -169,56 +169,49 @@ for flag in --fault-crash-prb=0.1 --strategy=c-hash --polcy=c-hash; do
 done
 echo "unknown flags rejected with usage and exit 2"
 
-# 3c-p. Policy spec guard: an unknown --policy name or parameter must exit 2
-#       with usage, never fall back to a default policy.
+# 3c-p. Policy spec guard: an unknown --policy name or parameter, or a value
+#       that does not read whole as its declared kind ("1e3" and "-3" used
+#       to run as budget 1 and no budget), must exit 2 with usage, never
+#       fall back to a default policy.
 echo "=== [chaos] --policy rejection ==="
-set +e
-"${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 --policy bogus \
-  >/dev/null 2>&1
-rc_name=$?
-"${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
-  --policy origami:bogus=1 >/dev/null 2>&1
-rc_param=$?
-"${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
-  --policy greedy-spill:budget=abc >/dev/null 2>&1
-rc_value=$?
-set -e
-[[ "${rc_name}" -eq 2 ]] ||
-  { echo "--policy=bogus exited ${rc_name}, want 2"; exit 1; }
-[[ "${rc_param}" -eq 2 ]] ||
-  { echo "--policy=origami:bogus=1 exited ${rc_param}, want 2"; exit 1; }
-[[ "${rc_value}" -eq 2 ]] ||
-  { echo "--policy=greedy-spill:budget=abc exited ${rc_value}, want 2"; exit 1; }
+for spec in bogus origami:bogus=1 greedy-spill:budget=abc \
+    greedy-spill:budget=1e3 greedy-spill:budget=-3; do
+  rc_spec=0
+  timeout 60 "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
+    --policy "${spec}" >/dev/null 2>&1 || rc_spec=$?
+  [[ "${rc_spec}" -eq 2 ]] ||
+    { echo "--policy=${spec} exited ${rc_spec}, want 2"; exit 1; }
+done
 echo "unknown policy name, parameter and value rejected with exit 2"
 
-# 3c-a. Arrival spec guard: an unknown --arrival name, an unknown or
-#       out-of-range parameter, and --arrival=trace on a workload without
-#       native timestamps must all exit 2 with usage — never silently fall
-#       back to the closed loop.
+# 3c-a. Arrival spec guard: an unknown --arrival name, an unknown,
+#       malformed or out-of-range parameter, and --arrival=trace on a
+#       workload without native timestamps must all exit 2 with usage —
+#       never silently fall back to the closed loop.
 echo "=== [chaos] --arrival rejection ==="
-set +e
-"${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 --arrival bogus \
-  >/dev/null 2>&1
-rc_aname=$?
-"${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
-  --arrival open:bogus=1 >/dev/null 2>&1
-rc_aparam=$?
-"${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
-  --arrival open:rate=-5 >/dev/null 2>&1
-rc_arange=$?
-"${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 --trace rw \
-  --arrival trace >/dev/null 2>&1
-rc_auntimed=$?
-set -e
-[[ "${rc_aname}" -eq 2 ]] ||
-  { echo "--arrival=bogus exited ${rc_aname}, want 2"; exit 1; }
-[[ "${rc_aparam}" -eq 2 ]] ||
-  { echo "--arrival=open:bogus=1 exited ${rc_aparam}, want 2"; exit 1; }
-[[ "${rc_arange}" -eq 2 ]] ||
-  { echo "--arrival=open:rate=-5 exited ${rc_arange}, want 2"; exit 1; }
-[[ "${rc_auntimed}" -eq 2 ]] ||
-  { echo "--arrival=trace on untimed rw exited ${rc_auntimed}, want 2"; exit 1; }
+for spec in bogus open:bogus=1 open:rate=-5 trace bursty:seed=abc \
+    tenant:tenants=2.5; do
+  rc_spec=0
+  timeout 60 "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
+    --trace rw --arrival "${spec}" >/dev/null 2>&1 || rc_spec=$?
+  [[ "${rc_spec}" -eq 2 ]] ||
+    { echo "--arrival=${spec} exited ${rc_spec}, want 2"; exit 1; }
+done
 echo "malformed arrival specs rejected with exit 2"
+
+# 3c-v. Flag value guard: a value must read whole and be usable. --mds=0
+#       used to segfault, --epoch-ms=0 to hang, and the others to run a
+#       different experiment under the requested label.
+echo "=== [chaos] malformed flag value rejection ==="
+for flag in --mds=0 --epoch-ms=0 --fault-crash-prob=abc \
+    --fault-crash-at=1@5+3xyz; do
+  rc_flag=0
+  timeout 60 "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
+    --policy c-hash "${flag}" >/dev/null 2>&1 || rc_flag=$?
+  [[ "${rc_flag}" -eq 2 ]] ||
+    { echo "origami_sim ${flag} exited ${rc_flag}, want 2"; exit 1; }
+done
+echo "malformed flag values rejected with usage and exit 2"
 
 # 3c-t. Trace file guard: trace files are outside input. One whose node
 #       hangs under a file, and one whose op count runs past its end, must
@@ -344,8 +337,8 @@ done
 #    drives the parallel analysis plane (window analysis / Meta-OPT scoring
 #    / feature extraction) at 8 threads AND the live serving plane (shard
 #    workers fed over MPMC lanes) at thread counts 1/2/8; the concurrency
-#    suite adds contention sweeps for the primitives themselves (MpmcQueue
-#    pop/try_pop/close races, BoundedMpmcQueue backpressure, ThreadPool
+#    suite adds contention sweeps for the primitives themselves
+#    (BoundedMpmcQueue backpressure and close races, ThreadPool
 #    submit/wait_idle stress).
 TSAN_DIR="${BUILD_ROOT}/tsan"
 echo "=== [tsan] configure ==="
@@ -359,6 +352,6 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" \
   --target determinism_test common_test concurrency_test meta_opt_test
 echo "=== [tsan] ctest (analysis + serving planes) ==="
 ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 300 \
-  -R '(Determinism|ParallelFor|ChunkedReduction|ThreadPool|MpmcQueue|BoundedMpmcQueue|SmallSet|MetaOpt|EvaluateWindow)'
+  -R '(Determinism|ParallelFor|ChunkedReduction|ThreadPool|BoundedMpmcQueue|SmallSet|MetaOpt|EvaluateWindow)'
 
 echo "=== CI OK ==="
