@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "origami/cluster/replay.hpp"
+#include "origami/common/spec.hpp"
 #include "origami/engine/observer.hpp"
 #include "origami/fs/live_replay.hpp"
 #include "origami/policy/registry.hpp"
@@ -92,6 +93,38 @@ TEST(ArrivalGolden, LivePlaneByteIdenticalToPreRefactorEngines) {
             << faulted << ", open " << open << ")";
       }
     }
+  }
+}
+
+// ----------------------------------------------------------- spec parsing --
+// Arrival specs go through the shared grammar (common::parse_spec, whose own
+// cases are SpecGrammar.*); these pin the arrival spellings it must keep.
+
+TEST(ArrivalSpec, ParsesNameAndParams) {
+  const char* text = "bursty:rate=9000,amp=0.3";
+  auto r = common::parse_spec(text);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value().name, "bursty");
+  ASSERT_EQ(r.value().params.size(), 2u);
+  EXPECT_EQ(r.value().params[0].first, "rate");
+  EXPECT_EQ(r.value().params[0].second, "9000");
+  EXPECT_EQ(r.value().params[1].first, "amp");
+  EXPECT_EQ(r.value().params[1].second, "0.3");
+  const auto s = wl::ArrivalRegistry::builtin().validate(text);
+  EXPECT_TRUE(s.is_ok()) << s.to_string();
+}
+
+TEST(ArrivalSpec, RejectsMalformedSpecs) {
+  // A malformed spelling of a registered process fails in the grammar,
+  // before its name is looked up.
+  for (const char* bad : {"", ":rate=1", "open:novalue", "open:=3",
+                          "open:rate=1,b", "open:rate=1,", "open:,rate=1",
+                          "open:"}) {
+    const auto s = wl::ArrivalRegistry::builtin().validate(bad);
+    ASSERT_FALSE(s.is_ok()) << "accepted malformed spec '" << bad << "'";
+    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(s.to_string().find("unknown arrival"), std::string::npos)
+        << s.to_string();
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "origami/cluster/replay.hpp"
+#include "origami/common/spec.hpp"
 #include "origami/common/thread_pool.hpp"
 #include "origami/core/balancers.hpp"
 #include "origami/core/meta_opt.hpp"
@@ -61,6 +62,47 @@ ReplayOptions with_faults(ReplayOptions opt) {
   opt.retry.max_retries = 4;
   opt.retry.timeout = sim::millis(2);
   return opt;
+}
+
+// ------------------------------------------------------------- parsing --
+// Policy specs go through the shared grammar (common::parse_spec, whose own
+// cases are SpecGrammar.*); these pin the policy spellings it must keep.
+
+TEST(PolicySpec, ParsesBareName) {
+  auto r = common::parse_spec("origami");
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value().name, "origami");
+  EXPECT_TRUE(r.value().params.empty());
+  EXPECT_TRUE(Registry::builtin().validate("origami").is_ok());
+}
+
+TEST(PolicySpec, ParsesParams) {
+  const char* text = "origami:budget=4,min-ops=2,trigger=0.2";
+  auto r = common::parse_spec(text);
+  ASSERT_TRUE(r.is_ok());
+  const auto& spec = r.value();
+  EXPECT_EQ(spec.name, "origami");
+  ASSERT_EQ(spec.params.size(), 3u);
+  EXPECT_EQ(spec.params[0].first, "budget");
+  EXPECT_EQ(spec.params[0].second, "4");
+  EXPECT_EQ(spec.params[2].first, "trigger");
+  EXPECT_EQ(spec.params[2].second, "0.2");
+  const auto s = Registry::builtin().validate(text);
+  EXPECT_TRUE(s.is_ok()) << s.to_string();
+}
+
+TEST(PolicySpec, RejectsMalformedSpecs) {
+  // A malformed spelling of a registered policy fails in the grammar,
+  // before its name is looked up.
+  for (const char* bad :
+       {"", ":budget=4", "origami:novalue", "origami:=3", "origami:budget=1,b",
+        "origami:budget=1,", "origami:,budget=1", "origami:"}) {
+    const auto s = Registry::builtin().validate(bad);
+    ASSERT_FALSE(s.is_ok()) << "accepted malformed spec '" << bad << "'";
+    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(s.to_string().find("unknown policy"), std::string::npos)
+        << s.to_string();
+  }
 }
 
 // ---------------------------------------------------- strict validation --
