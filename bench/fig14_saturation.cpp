@@ -1,33 +1,28 @@
 // Beyond-paper Figure 14 — saturation of the live serving plane.
 //
-// The live service now runs a cost-model-driven virtual clock with a serial
-// issuer streaming priced tasks to `--shard-threads` shard-serving workers.
-// Three properties are worth a figure:
+// The live service runs a cost-model-driven virtual clock and serves every
+// request on one thread. Two properties are worth a figure:
 //
-//   determinism  the contract the whole design hangs on: the replay output
-//                is byte-identical at any thread count, clean or faulted.
-//                Checked here as a *gate* (exit 1 on mismatch), so the bench
-//                doubles as the CI tripwire;
-//   saturation   clients x shard_threads matrix. The virtual throughput
-//                column moves only with offered load (closed-loop clients),
-//                never with threads — while host wall time shows how the
-//                serving plane scales on real cores. Host-side numbers are
-//                machine-dependent and recorded (the report's `host` holds
-//                the core count) rather than asserted;
+//   saturation   the clients axis. The virtual throughput column moves
+//                with offered load (closed-loop clients); host wall time
+//                shows what serving that load costs on this host.
+//                Host-side numbers are machine-dependent and recorded (the
+//                report's `host` holds the core count) rather than
+//                asserted;
 //   live robustness  the live counterparts of Fig. 10 (fault-type sweep vs
 //                p99 tail latency) and Fig. 11 (crash-recovery-duration
-//                sweep vs downtime and throughput), now measurable because
-//                the live plane has a real latency distribution.
+//                sweep vs downtime and throughput), measurable because the
+//                live plane has a real latency distribution.
 //
 // Outputs: fig14_saturation.csv and a JSON report of the same rows (--out,
-// default BENCH_saturation.json). --smoke shrinks the matrix for CI. All shared
-// knobs (--shard-threads, --fault-*, --retry-*, --commit-*) go through
-// cluster::options_from_flags: a malformed value prints usage and exits 2.
+// default BENCH_saturation.json). --smoke shrinks the clients axis for CI.
+// The shared knobs (--fault-*, --retry-*, --commit-*) are checked by
+// cluster::options_from_flags as in every bench: a malformed value prints
+// usage and exits 2.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,37 +58,6 @@ LiveRun run_live(const wl::Trace& trace, const fs::LiveReplayOptions& lro) {
   return run;
 }
 
-/// Byte-exact serialization of everything the replay reports, mirroring
-/// the determinism suite's fingerprint. Doubles print as hexfloat so two
-/// runs differing in the last ulp cannot alias.
-std::string fingerprint(const fs::LiveReplayStats& s) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << s.executed << ' ' << s.failed << ' ' << s.epochs << ' '
-     << s.migrations << ' ' << s.shard_imbalance << '\n';
-  for (const auto v : s.shard_ops) os << v << ' ';
-  os << '\n' << s.makespan << ' ' << s.throughput_ops << ' '
-     << s.latency.count() << ' ' << s.latency.mean() << ' '
-     << s.latency.min() << ' ' << s.latency.max();
-  for (const double q : {0.5, 0.9, 0.95, 0.99, 0.999}) {
-    os << ' ' << s.latency.quantile(q);
-  }
-  os << '\n';
-  for (const auto v : s.shard_busy) os << v << ' ';
-  os << '\n';
-  for (const auto v : s.shard_served) os << v << ' ';
-  os << '\n'
-     << s.faults.retries << ' ' << s.faults.timeouts << ' '
-     << s.faults.rpcs_lost << ' ' << s.faults.failed_ops << ' '
-     << s.faults.crashes << ' ' << s.faults.failovers << ' '
-     << s.faults.failover_dirs << ' ' << s.faults.restored_dirs << ' '
-     << s.faults.fenced_rejections << ' ' << s.faults.time_down << ' '
-     << s.faults.time_degraded << ' ' << s.faults.journal_records << ' '
-     << s.faults.group_commits << ' ' << s.faults.group_commit_records
-     << ' ' << s.faults.acked_lost_ops << ' ' << s.faults.unacked_lost_ops;
-  return os.str();
-}
-
 fs::LiveReplayOptions clean_options() {
   fs::LiveReplayOptions lro;
   lro.clients = 32;
@@ -123,27 +87,24 @@ int main(int argc, char** argv) {
   const common::Flags raw(argc, argv);
   const bool smoke = raw.get_bool("smoke", false);
   const std::string out_path = raw.get("out", "BENCH_saturation.json");
-  // Shared vocabulary (including --shard-threads) with strict validation:
-  // a malformed knob exits 2 before any numbers are produced.
-  const cluster::ReplayOptions base =
-      bench::options_from_argv(argc, argv, bench::paper_options());
+  // Shared vocabulary with strict validation: a malformed knob exits 2
+  // before any numbers are produced. The live options below are this
+  // figure's own.
+  (void)bench::options_from_argv(argc, argv, bench::paper_options());
 
   const std::uint64_t ops = smoke ? 20'000 : 80'000;
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
   const wl::Trace trace = bench::standard_rw(/*seed=*/1, ops);
 
   common::CsvWriter csv = bench::open_csv("fig14", "saturation");
-  csv.header({"section", "scenario", "clients", "shard_threads",
-              "virtual_throughput_ops", "p99_latency_us", "makespan_ms",
+  csv.header({"section", "scenario", "clients", "virtual_throughput_ops", "p99_latency_us", "makespan_ms",
               "host_ms", "time_down_ms", "time_degraded_ms", "failed_ops"});
   const auto emit = [&csv](const char* section, const std::string& scenario,
-                           std::uint32_t clients, std::uint32_t threads,
-                           const LiveRun& run) {
+                           std::uint32_t clients, const LiveRun& run) {
     const fs::LiveReplayStats& s = run.stats;
     csv.field(std::string(section))
         .field(scenario)
         .field(std::uint64_t{clients})
-        .field(std::uint64_t{threads})
         .field(s.throughput_ops)
         .field(s.latency.quantile(0.99) / 1'000.0)
         .field(static_cast<double>(s.makespan) / 1e6)
@@ -154,53 +115,24 @@ int main(int argc, char** argv) {
     csv.endrow();
   };
 
-  // ---- 1. determinism gate: threads 1 vs N, clean and faulted -----------
-  std::printf("--- determinism gate (threads 1 vs N) ---\n");
-  int mismatches = 0;
-  const std::vector<std::uint32_t> gate_threads =
-      smoke ? std::vector<std::uint32_t>{2, 4}
-            : std::vector<std::uint32_t>{2, 4, 8};
-  for (const bool with_faults : {false, true}) {
-    fs::LiveReplayOptions lro =
-        with_faults ? faulted_options() : clean_options();
-    lro.shard_threads = 1;
-    const std::string baseline = fingerprint(run_live(trace, lro).stats);
-    for (const std::uint32_t t : gate_threads) {
-      lro.shard_threads = t;
-      const std::string got = fingerprint(run_live(trace, lro).stats);
-      const bool ok = got == baseline;
-      if (!ok) ++mismatches;
-      std::printf("  %-7s threads=%u vs 1: %s\n",
-                  with_faults ? "faulted" : "clean", t,
-                  ok ? "identical" : "MISMATCH");
-    }
-  }
-
-  // ---- 2. saturation matrix: clients x shard_threads --------------------
-  std::printf("\n--- saturation matrix (%llu ops, %u shards, host has %u "
-              "cores) ---\n",
+  // ---- 1. saturation: the clients axis ----------------------------------
+  std::printf("--- saturation (%llu ops, %u shards, host has %u cores) ---\n",
               static_cast<unsigned long long>(ops), kShards, host_cores);
   const std::vector<std::uint32_t> client_axis =
       smoke ? std::vector<std::uint32_t>{4, 16}
             : std::vector<std::uint32_t>{1, 4, 16, 64};
-  const std::vector<std::uint32_t> thread_axis =
-      smoke ? std::vector<std::uint32_t>{1, 4}
-            : std::vector<std::uint32_t>{1, 2, 4, 8};
   for (const std::uint32_t clients : client_axis) {
-    for (const std::uint32_t threads : thread_axis) {
-      fs::LiveReplayOptions lro = clean_options();
-      lro.clients = clients;
-      lro.shard_threads = threads;
-      const LiveRun run = run_live(trace, lro);
-      emit("matrix", "clean", clients, threads, run);
-      std::printf("  clients %2u threads %u: %9.0f ops/s (virtual)  p99 "
-                  "%7.1fus  host %7.1fms\n",
-                  clients, threads, run.stats.throughput_ops,
-                  run.stats.latency.quantile(0.99) / 1'000.0, run.host_ms);
-    }
+    fs::LiveReplayOptions lro = clean_options();
+    lro.clients = clients;
+    const LiveRun run = run_live(trace, lro);
+    emit("matrix", "clean", clients, run);
+    std::printf("  clients %2u: %9.0f ops/s (virtual)  p99 %7.1fus  host "
+                "%7.1fms\n",
+                clients, run.stats.throughput_ops,
+                run.stats.latency.quantile(0.99) / 1'000.0, run.host_ms);
   }
 
-  // ---- 3. live Fig. 10 counterpart: fault types vs tail latency ---------
+  // ---- 2. live Fig. 10 counterpart: fault types vs tail latency ---------
   std::printf("\n--- live fault sweep (Fig. 10 counterpart) ---\n");
   struct Scenario {
     const char* name;
@@ -232,10 +164,9 @@ int main(int argc, char** argv) {
     sweep.push_back({"rpc-loss", lro});
   }
   sweep.push_back({"combined", faulted_options()});
-  for (Scenario& sc : sweep) {
-    sc.lro.shard_threads = base.shard_threads;
+  for (const Scenario& sc : sweep) {
     const LiveRun run = run_live(trace, sc.lro);
-    emit("fault-sweep", sc.name, sc.lro.clients, sc.lro.shard_threads, run);
+    emit("fault-sweep", sc.name, sc.lro.clients, run);
     const fs::LiveReplayStats& s = run.stats;
     std::printf("  %-10s p99 %8.1fus  down %7.1fms  degraded %7.1fms  "
                 "failed %llu\n",
@@ -245,11 +176,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.faults.failed_ops));
   }
 
-  // ---- 4. live Fig. 11 counterpart: recovery-duration sweep -------------
+  // ---- 3. live Fig. 11 counterpart: recovery-duration sweep -------------
   std::printf("\n--- live recovery sweep (Fig. 11 counterpart) ---\n");
   for (const double recovery_ms : {50.0, 200.0, 800.0}) {
     fs::LiveReplayOptions lro = clean_options();
-    lro.shard_threads = base.shard_threads;
     lro.faults.seed = 13;
     lro.faults.crash_prob = 0.10;
     lro.faults.crash_recovery = sim::millis(recovery_ms);
@@ -257,7 +187,7 @@ int main(int argc, char** argv) {
     const LiveRun run = run_live(trace, lro);
     char label[32];
     std::snprintf(label, sizeof(label), "recovery-%.0fms", recovery_ms);
-    emit("recovery-sweep", label, lro.clients, lro.shard_threads, run);
+    emit("recovery-sweep", label, lro.clients, run);
     const fs::LiveReplayStats& s = run.stats;
     std::printf("  recovery %5.0fms: down %8.1fms  %9.0f ops/s  p99 "
                 "%8.1fus\n",
@@ -265,16 +195,9 @@ int main(int argc, char** argv) {
                 s.throughput_ops, s.latency.quantile(0.99) / 1'000.0);
   }
 
-  if (mismatches > 0) {
-    std::printf("\nFAILED: %d thread-count determinism mismatch(es)\n",
-                mismatches);
-    return 1;
-  }
   bench::write_report(out_path, "saturation",
                       {{"ops", ops}, {"smoke", smoke}, {"shards", kShards}},
                       csv);
-  std::printf("\ndeterminism gate: output byte-identical across shard "
-              "thread counts. CSV: fig14_saturation.csv, JSON: %s\n",
-              out_path.c_str());
+  std::printf("\nCSV: fig14_saturation.csv, JSON: %s\n", out_path.c_str());
   return 0;
 }

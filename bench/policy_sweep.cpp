@@ -212,7 +212,6 @@ int run_policy_sweep(const SweepPreset& preset) {
         fs::OrigamiFs fsys(fopt);
         fs::LiveReplayOptions lro;
         lro.epoch_ops = preset.live_epoch_ops;
-        lro.shard_threads = preset.base.shard_threads;
         lro.on_epoch = [&live](fs::OrigamiFs& f, fs::LiveFaultContext& c) {
           return live->on_epoch(f, c);
         };

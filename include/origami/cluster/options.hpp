@@ -24,12 +24,6 @@ struct ReplayOptions {
   std::uint32_t mds_count = 5;
   /// Closed-loop client threads (each keeps one request in flight).
   std::uint32_t clients = 50;
-  /// Shard-serving worker threads for the live serving plane
-  /// (`fs::replay_on_live`): shard `s` is served by worker
-  /// `s % shard_threads`. Output is byte-identical at any value; the epoch
-  /// DES engine ignores it (its analysis plane is sized by --threads).
-  /// From the CLI: `--shard-threads=N`, strictly validated (N >= 1).
-  std::uint32_t shard_threads = 1;
   mds::MdsServerParams mds_params;
   cost::CostParams cost_params;
   net::NetworkParams net_params;

@@ -59,17 +59,15 @@ struct LiveReplayOptions {
   fault::RetryPolicy retry;
   /// Journaling model, including the commit mode. With
   /// `CommitMode::kAsync`, `commit_window` is measured on the live virtual
-  /// clock (nanoseconds): the serving shard flushes its own journal when
-  /// the oldest buffered record ages past it, and a sweep at every sync
-  /// window catches shards that stopped receiving traffic.
+  /// clock (nanoseconds): a shard flushes its own journal when the oldest
+  /// buffered record ages past it, and a sweep at every sync window
+  /// catches shards that stopped receiving traffic.
   recovery::RecoveryParams recovery;
 
-  // --- serving plane -------------------------------------------------------
-
-  /// Shard-serving worker threads. Shard `s` is served by worker
-  /// `s % shard_threads`; each worker owns its shards' journals, latency
-  /// accumulators and busy clocks exclusively, so output is byte-identical
-  /// at any value (deterministic per-shard partials merged in shard order).
+  /// Read by nothing: the plane serves every request on the calling
+  /// thread. It stays only because the repository benchmark
+  /// (bench/benchmark/origami_bench.cpp) still sets it, and goes with the
+  /// next change to that benchmark.
   std::uint32_t shard_threads = 1;
   /// Closed-loop client issuers: op `i` belongs to client `i % clients`,
   /// which issues its next request the instant the previous one completes.
@@ -80,8 +78,7 @@ struct LiveReplayOptions {
   /// latency distribution. Empty runs the closed loop. The live engine
   /// stamps each op's arrival on its nanosecond virtual clock through the
   /// policy; randomized processes (bursty) draw from a policy- or
-  /// engine-owned seeded stream, so output stays byte-identical at any
-  /// `shard_threads`.
+  /// engine-owned seeded stream, so output is a function of the seeds.
   std::string arrival;
   /// Service-time parameters for the virtual clock.
   cost::CostParams cost;
@@ -108,8 +105,7 @@ struct LiveReplayStats {
   /// including retry timeouts/backoffs and fencing bounces. Quantiles via
   /// `latency.quantile(0.99)` etc.
   common::LatencyHistogram latency;
-  /// Per-shard busy time (ns of service charged) and served-request counts,
-  /// accumulated by the serving workers and merged in shard order.
+  /// Per-shard busy time (ns of service charged) and served-request counts.
   std::vector<sim::SimTime> shard_busy;
   std::vector<std::uint64_t> shard_served;
 
@@ -130,17 +126,13 @@ struct LiveReplayStats {
 /// policy's live form, `policy::LivePolicy::on_epoch`, in, or leave it null
 /// for an unbalanced run).
 ///
-/// Execution is split across threads. A serial issuer mutates the
-/// namespace in the exact seed op order. It addresses each request by
-/// (parent inode, name), taking the parent's inode from those it cached
-/// when it created each directory, so a request costs one dirent read
-/// rather than one per path component. It prices each request on the
-/// cost-model clock and streams fully-stamped per-shard tasks over bounded
-/// MPMC lanes to `shard_threads` serving workers, which own the
-/// measurement plane (latency histograms, busy clocks) and the durability
-/// plane (journal appends and group-commit flushes). Per-shard partials
-/// merge in shard order, so the output is byte-identical at any
-/// `shard_threads` value.
+/// The replay runs on the calling thread and mutates the namespace in the
+/// exact seed op order. It addresses each request by (parent inode, name),
+/// taking the parent's inode from those it cached when it created each
+/// directory, so a request costs one dirent read rather than one per path
+/// component. It prices each request on the cost-model clock and records
+/// it there and then: the latency histogram, the home shard's busy time
+/// and, for a faulted write, the journal append and group-commit flush.
 ///
 /// With a fault plan armed the replay exercises the same robustness layers
 /// as the simulator: crash windows fail the dead shard's fragments over to

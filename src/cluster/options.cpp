@@ -163,10 +163,6 @@ common::Result<ReplayOptions> options_from_flags(const common::Flags& flags,
     }
     opt.arrival = spec;
   }
-  if (auto v = read.int_flag("shard-threads", 1, 4096)) {
-    opt.shard_threads = u32(*v);
-  }
-
   fault::FaultPlan& plan = opt.faults;
   if (auto v = read.int_flag("fault-seed", 0,
                              std::numeric_limits<std::int64_t>::max())) {

@@ -1,21 +1,15 @@
 #include "origami/fs/live_replay.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "origami/cluster/fault_plane.hpp"
 #include "origami/cluster/migration.hpp"
-#include "origami/common/mpmc_queue.hpp"
 #include "origami/wl/arrival.hpp"
 
 namespace origami::fs {
@@ -97,35 +91,13 @@ class Materialiser {
   std::vector<fsns::NodeId> missing_;  ///< scratch for ensure_dirs
 };
 
-/// One fully-priced request as handed to a shard-serving worker. The
-/// issuer stamps every field before dispatch, so workers do no namespace
-/// or clock arithmetic of their own — each shard's task stream (and hence
-/// its journal/measurement state) is identical at any worker count.
-struct ShardTask {
-  std::uint32_t shard = 0;
-  std::uint64_t op_id = 0;       ///< journal op id; 0 = nothing to journal
-  fsns::NodeId home = 0;         ///< journal node (the home dir's inode)
-  sim::SimTime stamp = 0;        ///< shard-clock completion time
-  sim::SimTime service = 0;      ///< busy time charged to the shard
-  std::uint64_t latency_ns = 0;  ///< client-observed request latency
-};
-
-using TaskBatch = std::vector<ShardTask>;
-
-/// Operations between fault/commit sync points (see `sync_point`): an
-/// internal cadence, so results are deterministic for any fixed value.
+/// Operations between fault/commit sync points (see `sync_point`): the
+/// cadence at which crash windows are compared with the virtual clock, so
+/// every faulted result depends on it.
 constexpr std::uint64_t kSyncOps = 512;
 /// One fault-sampling interval on the virtual clock (the live analogue of
 /// the simulator's epoch length for `windows_for_epoch`).
 constexpr sim::SimTime kFaultEpoch = sim::millis(500);
-
-/// Per-shard measurement-plane accumulator, owned exclusively by the
-/// worker serving that shard and merged in shard order at finalize.
-struct ShardPartial {
-  common::LatencyHistogram latency;
-  sim::SimTime busy = 0;
-  std::uint64_t served = 0;
-};
 
 /// The live engine's namespace as the fault plane sees it: shards over the
 /// OrigamiFs ownership map, fragments are directory inodes walked in inode
@@ -170,27 +142,24 @@ class ShardNamespace final : public cluster::FaultNamespace {
 /// The live-mode twin of the simulator's exec/failover/migration stack: it
 /// shares the crash protocol (`cluster::FaultPlane`: fault injector,
 /// per-shard journals, failover log) and `TwoPhaseLog` with the epoch
-/// engine, and runs a real serving plane:
+/// engine, and serves every request on the calling thread, in seed op
+/// order:
 ///
-///  - a serial *issuer* (the calling thread) mutates the namespace in seed
-///    op order through the ino-addressed `OrigamiFs` entry points (one
-///    dirent read per request, the parent's inode taken from the
-///    `Materialiser`), runs the retry/fencing client model, and prices
-///    every request on a cost-model virtual clock (per-client ready times,
-///    per-shard logical clocks, Eq. 2 service charges, straggler
-///    multipliers);
-///  - `shard_threads` *serving workers* consume fully-stamped per-shard
-///    task batches over bounded MPMC lanes (worker `s % T` serves shard
-///    `s`) and own the measurement plane (latency histograms, busy
-///    clocks) and the durability plane (journal appends, group-commit
-///    flush decisions on the shard clock);
-///  - with faults armed, the issuer drains the lanes every `kSyncOps`
-///    operations and fires due crashes/recoveries plus the commit-window
-///    sweep against the quiesced journals and stores.
+///  - it mutates the namespace through the ino-addressed `OrigamiFs` entry
+///    points (one dirent read per request, the parent's inode taken from
+///    the `Materialiser`) and runs the retry/fencing client model;
+///  - it prices the request on a cost-model virtual clock (per-client
+///    ready times, per-shard logical clocks, Eq. 2 service charges,
+///    straggler multipliers);
+///  - it records the request where it is priced: latency histogram, the
+///    shard's busy time and served count, and for a faulted write the
+///    journal append, ack and batch-or-age group-commit flush on the shard
+///    clock;
+///  - with faults armed, every `kSyncOps` operations it fires due
+///    crashes/recoveries plus the commit-window sweep.
 ///
-/// Determinism: workers only touch state partitioned by shard, task
-/// streams per shard are fixed by the serial issuer, and partials merge in
-/// shard order — so output is byte-identical at any `shard_threads`.
+/// One serial loop computes every number, so the output is a function of
+/// the trace and the options alone.
 class LiveEngine final : public LiveFaultContext {
  public:
   LiveEngine(const wl::Trace& trace, OrigamiFs& fsys,
@@ -207,6 +176,8 @@ class LiveEngine final : public LiveFaultContext {
         mat_(trace.tree, fsys) {
     const std::uint32_t n = fsys_.shard_count();
     shard_clock_.assign(n, 0);
+    stats_.shard_busy.assign(n, 0);
+    stats_.shard_served.assign(n, 0);
     client_ready_.assign(std::max<std::uint32_t>(1, opt_.clients), 0);
     if (faults_on_) {
       down_.assign(n, false);
@@ -222,22 +193,12 @@ class LiveEngine final : public LiveFaultContext {
         plane_.attach_group_commit_store(fsys.shard_db(s));
       }
     }
-    start_workers(n);
-  }
-
-  ~LiveEngine() override {
-    // Exceptional-path teardown; the orderly path joins in finalize().
-    for (auto& lane : lanes_) lane->close();
-    for (auto& th : threads_) {
-      if (th.joinable()) th.join();
-    }
   }
 
   LiveReplayStats run() {
     std::uint64_t since_epoch = 0;
     for (std::size_t i = 0; i < trace_.ops.size(); ++i) {
-      // Fault/commit sync point: quiesce the serving plane, then fire
-      // everything due on the virtual clock against the idle journals.
+      // Fault/commit sync point: fire everything due on the virtual clock.
       if (faults_on_ && i % kSyncOps == 0) sync_point();
 
       const wl::MetaOp& op = trace_.ops[i];
@@ -282,10 +243,6 @@ class LiveEngine final : public LiveFaultContext {
       if (opt_.on_epoch != nullptr && opt_.epoch_ops > 0 &&
           ++since_epoch >= opt_.epoch_ops) {
         since_epoch = 0;
-        // The balancer narrates two-phase transitions into the journals,
-        // which the workers own — quiesce them first. Clean mode touches
-        // no shared state, so the pipeline keeps streaming.
-        if (faults_on_) drain_workers();
         ++stats_.epochs;
         stats_.migrations += opt_.on_epoch(fsys_, *this);
       }
@@ -333,106 +290,16 @@ class LiveEngine final : public LiveFaultContext {
     double factor;
   };
 
-  static constexpr std::size_t kBatchSize = 64;  ///< tasks per lane batch
-  static constexpr std::size_t kLaneDepth = 64;  ///< batches per lane
-
   [[nodiscard]] recovery::MetadataJournal* journal_if_up(std::uint32_t shard) {
     if (shard >= plane_.journals().size() || down_[shard]) return nullptr;
     return &plane_.journal(shard);
   }
 
-  // --- serving plane -------------------------------------------------------
-
-  void start_workers(std::uint32_t shards) {
-    partials_.resize(shards);
-    workers_ = std::max<std::uint32_t>(1, opt_.shard_threads);
-    lanes_.reserve(workers_);
-    batch_buf_.resize(workers_);
-    for (std::uint32_t w = 0; w < workers_; ++w) {
-      lanes_.push_back(
-          std::make_unique<common::BoundedMpmcQueue<TaskBatch>>(kLaneDepth));
-      batch_buf_[w].reserve(kBatchSize);
-    }
-    threads_.reserve(workers_);
-    for (std::uint32_t w = 0; w < workers_; ++w) {
-      threads_.emplace_back([this, w] { worker_main(w); });
-    }
-  }
-
-  void worker_main(std::uint32_t w) {
-    while (auto batch = lanes_[w]->pop()) {
-      try {
-        for (const ShardTask& t : *batch) apply(t);
-      } catch (...) {
-        std::lock_guard lock(error_mutex_);
-        if (worker_error_ == nullptr) worker_error_ = std::current_exception();
-      }
-      {
-        std::lock_guard lock(done_mutex_);
-        ++completed_batches_;
-      }
-      done_cv_.notify_all();
-    }
-  }
-
-  /// Serving-worker body: measurement plane plus journal durability plane
-  /// for one stamped request. Touches only state owned by `t.shard`.
-  void apply(const ShardTask& t) {
-    ShardPartial& p = partials_[t.shard];
-    p.latency.add(t.latency_ns);
-    p.busy += t.service;
-    ++p.served;
-    if (t.op_id == 0) return;
-    recovery::MetadataJournal& journal = plane_.journal(t.shard);
-    journal.append_op(t.op_id, t.home, t.stamp);
-    if (!plane_.async_commit()) return;
-    // Live calls return synchronously, so the ack lands with the append;
-    // durability still waits for the group commit. The serving thread
-    // decides its own flushes on the shard clock: batch size first, then
-    // the commit-window age of the oldest buffered record.
-    journal.note_acked(t.op_id, t.stamp);
-    const bool batch_due =
-        journal.pending_records() >= opt_.recovery.commit_batch;
-    const bool age_due =
-        journal.pending_records() > 0 &&
-        t.stamp - journal.oldest_pending_at() >= opt_.recovery.commit_window;
-    if (batch_due || age_due) (void)journal.flush(t.stamp);
-  }
-
-  void flush_batch(std::uint32_t w) {
-    if (batch_buf_[w].empty()) return;
-    // A rejected push means the lane closed mid-run — that only happens on
-    // teardown, so losing the batch silently would corrupt the stats.
-    if (!lanes_[w]->push(std::move(batch_buf_[w]))) {
-      throw std::runtime_error("live serving lane closed during dispatch");
-    }
-    ++dispatched_batches_;
-    batch_buf_[w] = TaskBatch();
-    batch_buf_[w].reserve(kBatchSize);
-  }
-
-  /// Barrier: every dispatched batch has been fully applied by its worker.
-  void drain_workers() {
-    for (std::uint32_t w = 0; w < workers_; ++w) flush_batch(w);
-    std::unique_lock lock(done_mutex_);
-    done_cv_.wait(lock,
-                  [&] { return completed_batches_ == dispatched_batches_; });
-    lock.unlock();
-    rethrow_worker_error();
-  }
-
-  void rethrow_worker_error() {
-    std::lock_guard lock(error_mutex_);
-    if (worker_error_ != nullptr) {
-      std::exception_ptr err = std::exchange(worker_error_, nullptr);
-      std::rethrow_exception(err);
-    }
-  }
-
   // --- virtual clock -------------------------------------------------------
 
-  /// Prices the executed request on the virtual clock and hands the fully
-  /// stamped task to the owning shard worker.
+  /// Prices the executed request on the virtual clock and records it at its
+  /// home shard: latency, busy time, served count and, for a faulted
+  /// write, the journal's durability plane.
   void dispatch(const wl::MetaOp& op, fsns::NodeId home_node,
                 std::uint32_t client, sim::SimTime arrival,
                 sim::SimTime ready) {
@@ -453,18 +320,32 @@ class LiveEngine final : public LiveFaultContext {
     client_ready_[client] = completion;
     vnow_ = std::max(vnow_, completion);
 
-    ShardTask task;
-    task.shard = shard;
-    task.stamp = shard_clock_[shard];
-    task.service = service;
-    task.latency_ns = static_cast<std::uint64_t>(completion - arrival);
+    stats_.latency.add(static_cast<std::uint64_t>(completion - arrival));
+    stats_.shard_busy[shard] += service;
+    ++stats_.shard_served[shard];
     if (faults_on_ && fsns::is_write(op.type) && home != kInvalidIno) {
-      task.op_id = ++next_op_id_;
-      task.home = static_cast<fsns::NodeId>(home);
+      journal_write(shard, ++next_op_id_, static_cast<fsns::NodeId>(home));
     }
-    const std::uint32_t w = shard % workers_;
-    batch_buf_[w].push_back(task);
-    if (batch_buf_[w].size() >= kBatchSize) flush_batch(w);
+  }
+
+  /// Frames an acknowledged write into its shard's journal, stamped with
+  /// the shard clock. Live calls return synchronously, so in async mode
+  /// the ack lands with the append; durability still waits for the group
+  /// commit, which the shard decides on its own clock: batch size first,
+  /// then the commit-window age of the oldest buffered record.
+  void journal_write(std::uint32_t shard, std::uint64_t op_id,
+                     fsns::NodeId home) {
+    const sim::SimTime stamp = shard_clock_[shard];
+    recovery::MetadataJournal& journal = plane_.journal(shard);
+    journal.append_op(op_id, home, stamp);
+    if (!plane_.async_commit()) return;
+    journal.note_acked(op_id, stamp);
+    const bool batch_due =
+        journal.pending_records() >= opt_.recovery.commit_batch;
+    const bool age_due =
+        journal.pending_records() > 0 &&
+        stamp - journal.oldest_pending_at() >= opt_.recovery.commit_window;
+    if (batch_due || age_due) (void)journal.flush(stamp);
   }
 
   /// Distinct shard owners along the materialised ancestor chain of the
@@ -531,11 +412,10 @@ class LiveEngine final : public LiveFaultContext {
     }
   }
 
-  /// Runs at every `kSyncOps` boundary with the serving plane quiesced:
-  /// fires recoveries and crashes due on the virtual clock, then sweeps
-  /// aged commit windows (and the shard stores' group commits).
+  /// Runs at every `kSyncOps` boundary: fires recoveries and crashes due on
+  /// the virtual clock, then sweeps aged commit windows (and the shard
+  /// stores' group commits).
   void sync_point() {
-    drain_workers();
     ensure_fault_epochs(vnow_);
     // Recoveries first, so a shard may crash again in the same sweep.
     for (std::uint32_t s = 0; s < down_.size(); ++s) {
@@ -611,7 +491,7 @@ class LiveEngine final : public LiveFaultContext {
     return false;
   }
 
-  /// Async mode, at a sync point (workers idle): group-commit every shard
+  /// Async mode, at a sync point: group-commit every shard
   /// whose oldest buffered record aged past the commit window, and let the
   /// real stores group-commit whatever their own triggers left buffered.
   void flush_due() {
@@ -705,20 +585,6 @@ class LiveEngine final : public LiveFaultContext {
   }
 
   void finalize() {
-    // Orderly shutdown of the serving plane: drain, close, join, surface
-    // any worker failure, then merge the per-shard partials in shard order
-    // (the determinism discipline — identical at any worker count).
-    drain_workers();
-    for (auto& lane : lanes_) lane->close();
-    for (auto& th : threads_) {
-      if (th.joinable()) th.join();
-    }
-    rethrow_worker_error();
-    for (const ShardPartial& p : partials_) {
-      stats_.latency.merge(p.latency);
-      stats_.shard_busy.push_back(p.busy);
-      stats_.shard_served.push_back(p.served);
-    }
     stats_.makespan = vnow_;
     stats_.throughput_ops =
         vnow_ > 0 ? static_cast<double>(stats_.executed) * 1e9 /
@@ -740,27 +606,27 @@ class LiveEngine final : public LiveFaultContext {
   const LiveReplayOptions& opt_;
   bool faults_on_;
   /// Crash protocol shared with the epoch engine: fault injector, one
-  /// journal per shard (handed to the workers between syncs), failover log.
+  /// journal per shard, failover log.
   cluster::FaultPlane plane_;
   common::Xoshiro256 loss_rng_;
   /// The request-arrival process (wl/arrival.hpp), shared implementation
   /// with the epoch DES. Closed-loop policies read `client_ready_`;
   /// open-loop policies run on the virtual clock via `prev_arrival_`.
   std::unique_ptr<wl::ArrivalPolicy> arrival_;
-  /// Issuer-owned stream for arrival policies that draw (e.g. "open" run
-  /// live). Never touched by the serving plane, so thread count is moot.
+  /// The engine's stream for arrival policies that draw (e.g. "open" run
+  /// live).
   common::Xoshiro256 arrival_rng_;
   cost::CostModel model_;
   Materialiser mat_;
 
-  // Virtual clock (all issuer-owned).
+  // Virtual clock.
   std::vector<sim::SimTime> shard_clock_;   ///< per-shard logical time B_s
   std::vector<sim::SimTime> client_ready_;  ///< per-client next-issue time
   sim::SimTime vnow_ = 0;                   ///< max completion seen so far
   sim::SimTime prev_arrival_ = 0;           ///< open loop: last stamped arrival
   std::vector<std::uint32_t> owners_buf_;  ///< scratch for distinct_owners
 
-  // Fault timing, down state and client model (issuer-owned).
+  // Fault timing, down state and client model.
   std::uint32_t next_fault_epoch_ = 0;
   std::vector<fault::FaultWindow> crashes_;  ///< crash windows, from-sorted
   std::size_t crash_cursor_ = 0;
@@ -771,19 +637,6 @@ class LiveEngine final : public LiveFaultContext {
   ShardNamespace shard_ns_{fsys_, down_};
   std::unordered_map<Ino, std::uint32_t> cached_;  // client route cache
   std::uint64_t next_op_id_ = 0;
-
-  // Serving plane.
-  std::uint32_t workers_ = 1;
-  std::vector<std::unique_ptr<common::BoundedMpmcQueue<TaskBatch>>> lanes_;
-  std::vector<TaskBatch> batch_buf_;  ///< issuer-side per-worker batches
-  std::vector<ShardPartial> partials_;  ///< by shard; owner-worker only
-  std::vector<std::thread> threads_;
-  std::uint64_t dispatched_batches_ = 0;  ///< issuer-only
-  std::uint64_t completed_batches_ = 0;   ///< guarded by done_mutex_
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
-  std::mutex error_mutex_;
-  std::exception_ptr worker_error_;
 
   LiveReplayStats stats_;
 };

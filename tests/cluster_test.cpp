@@ -301,25 +301,6 @@ TEST(OptionsFromFlags, AsyncKvBackingRequiresWritableWalDir) {
       << bad_dir.status().to_string();
 }
 
-TEST(OptionsFromFlags, ParsesAndStrictlyValidatesShardThreads) {
-  auto parsed = parse({"--shard-threads", "8"});
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  EXPECT_EQ(std::move(parsed).value().shard_threads, 8u);
-
-  auto absent = parse({"--mds", "4"});
-  ASSERT_TRUE(absent.is_ok());
-  EXPECT_EQ(std::move(absent).value().shard_threads, 1u);
-
-  // get_int would coerce all of these to 0 and silently serve on one
-  // thread; the strict parser must reject them instead.
-  for (const char* bad : {"0", "-2", "abc", "2x", ""}) {
-    auto r = parse({"--shard-threads", bad});
-    ASSERT_FALSE(r.is_ok()) << "accepted --shard-threads '" << bad << "'";
-    EXPECT_NE(r.status().to_string().find("--shard-threads"),
-              std::string::npos);
-  }
-}
-
 TEST(OptionsFromFlags, KvWalDirOptionalOutsideAsyncKvBacking) {
   // Sync mode appends every record inline — no group commit, no fsync
   // batching — so the real store runs fine without a log directory.
@@ -404,7 +385,7 @@ TEST(OptionsFromFlags, ReadsTheValuesCiAndTheBenchesPass) {
                        "911",             "--fault-crash-prob", "0.05",
                        "--fault-recovery-ms", "300", "--commit-window",
                        "2",               "--commit-batch", "64",
-                       "--retry-timeout-ms", "0.5", "--shard-threads", "4"});
+                       "--retry-timeout-ms", "0.5"});
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   const ReplayOptions opt = std::move(parsed).value();
   EXPECT_EQ(opt.mds_count, 5u);
@@ -417,7 +398,6 @@ TEST(OptionsFromFlags, ReadsTheValuesCiAndTheBenchesPass) {
   EXPECT_EQ(opt.recovery.commit_window, sim::millis(2.0));
   EXPECT_EQ(opt.recovery.commit_batch, 64u);
   EXPECT_EQ(opt.retry.timeout, sim::millis(0.5));
-  EXPECT_EQ(opt.shard_threads, 4u);
 }
 
 }  // namespace
