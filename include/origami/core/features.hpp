@@ -21,6 +21,23 @@ inline constexpr std::array<const char*, kFeatureCount> kFeatureNames = {
 
 [[nodiscard]] std::vector<std::string> feature_name_vector();
 
+/// One epoch's Table-1 normalisers: the largest depth, #sub-files and
+/// #sub-dirs over its directories, and its total accesses (every op of the
+/// epoch, counted once). Each is at least 1.
+struct FeatureScale {
+  double max_depth = 1.0;
+  double max_sub_files = 1.0;
+  double max_sub_dirs = 1.0;
+  double total_access = 1.0;
+};
+
+/// Table 1's seven features of one subtree into `out` (size
+/// kFeatureCount). Training (`FeatureExtractor`) and the live origami
+/// policy both call it, so the model reads online the scale it learned.
+void table1_features(double depth, double sub_files, double sub_dirs,
+                     double reads, double writes, const FeatureScale& scale,
+                     std::span<float> out);
+
 /// Emits normalised Table-1 feature rows for subtree candidates of one
 /// epoch. The normalising constants (max depth / max sub-counts / total
 /// access) are taken from the same epoch, matching §4.3.
@@ -46,10 +63,7 @@ class FeatureExtractor {
  private:
   const fsns::DirTree* tree_;
   const SubtreeView* view_;
-  double max_depth_ = 1.0;
-  double max_sub_files_ = 1.0;
-  double max_sub_dirs_ = 1.0;
-  double total_access_ = 1.0;
+  FeatureScale scale_;
 };
 
 }  // namespace origami::core

@@ -10,6 +10,18 @@ std::vector<std::string> feature_name_vector() {
   return {kFeatureNames.begin(), kFeatureNames.end()};
 }
 
+void table1_features(double depth, double sub_files, double sub_dirs,
+                     double reads, double writes, const FeatureScale& scale,
+                     std::span<float> out) {
+  out[0] = static_cast<float>(depth / scale.max_depth);
+  out[1] = static_cast<float>(sub_files / scale.max_sub_files);
+  out[2] = static_cast<float>(sub_dirs / scale.max_sub_dirs);
+  out[3] = static_cast<float>(reads / scale.total_access);
+  out[4] = static_cast<float>(writes / scale.total_access);
+  out[5] = static_cast<float>(writes / std::max(1.0, reads + writes));
+  out[6] = static_cast<float>((sub_dirs + 1.0) / (sub_files + 1.0));
+}
+
 FeatureExtractor::FeatureExtractor(const fsns::DirTree& tree,
                                    const SubtreeView& view)
     : tree_(&tree), view_(&view) {
@@ -40,25 +52,19 @@ FeatureExtractor::FeatureExtractor(const fsns::DirTree& tree,
         parts[chunk] = m;
       });
   for (const Maxes& m : parts) {
-    max_depth_ = std::max(max_depth_, m.depth);
-    max_sub_files_ = std::max(max_sub_files_, m.files);
-    max_sub_dirs_ = std::max(max_sub_dirs_, m.sub_dirs);
+    scale_.max_depth = std::max(scale_.max_depth, m.depth);
+    scale_.max_sub_files = std::max(scale_.max_sub_files, m.files);
+    scale_.max_sub_dirs = std::max(scale_.max_sub_dirs, m.sub_dirs);
   }
-  total_access_ = std::max(1.0, static_cast<double>(view.total_ops()));
+  scale_.total_access = std::max(1.0, static_cast<double>(view.total_ops()));
 }
 
 void FeatureExtractor::extract(fsns::NodeId dir, std::span<float> out) const {
-  const double reads = static_cast<double>(view_->reads(dir));
-  const double writes = static_cast<double>(view_->writes(dir));
-  const double files = static_cast<double>(view_->sub_files(dir));
-  const double dirs = static_cast<double>(view_->sub_dirs(dir));
-  out[0] = static_cast<float>(tree_->depth(dir) / max_depth_);
-  out[1] = static_cast<float>(files / max_sub_files_);
-  out[2] = static_cast<float>(dirs / max_sub_dirs_);
-  out[3] = static_cast<float>(reads / total_access_);
-  out[4] = static_cast<float>(writes / total_access_);
-  out[5] = static_cast<float>(writes / std::max(1.0, reads + writes));
-  out[6] = static_cast<float>((dirs + 1.0) / (files + 1.0));
+  table1_features(static_cast<double>(tree_->depth(dir)),
+                  static_cast<double>(view_->sub_files(dir)),
+                  static_cast<double>(view_->sub_dirs(dir)),
+                  static_cast<double>(view_->reads(dir)),
+                  static_cast<double>(view_->writes(dir)), scale_, out);
 }
 
 std::vector<std::array<float, kFeatureCount>> FeatureExtractor::extract_batch(

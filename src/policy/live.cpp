@@ -228,32 +228,26 @@ class OrigamiPolicy final : public LivePolicy {
     if (cost::imbalance_factor(e.load) < trigger_) return 0;
     if (e.total_ops == 0) return 0;
 
-    // Table-1 features over subtree totals. The maxima span every node;
-    // the op shares divide by the sum of all subtree totals.
-    double max_depth = 1, max_files = 1, max_dirs = 1;
-    std::uint64_t all_subtree_ops = 0;
+    // Table-1 features over subtree totals, on training's scale: the
+    // maxima span every node, the op shares divide by the epoch's ops.
+    core::FeatureScale scale;
     for (const LiveNode& n : e.nodes) {
-      max_depth = std::max(max_depth, static_cast<double>(n.depth));
-      max_files = std::max(max_files, static_cast<double>(n.sub_files));
-      max_dirs = std::max(max_dirs, static_cast<double>(n.sub_dirs));
-      all_subtree_ops += n.ops();
+      scale.max_depth = std::max(scale.max_depth, static_cast<double>(n.depth));
+      scale.max_sub_files =
+          std::max(scale.max_sub_files, static_cast<double>(n.sub_files));
+      scale.max_sub_dirs =
+          std::max(scale.max_sub_dirs, static_cast<double>(n.sub_dirs));
     }
-    const auto total = static_cast<double>(all_subtree_ops);
+    scale.total_access =
+        static_cast<double>(std::max<std::uint64_t>(1, e.total_ops));
     std::vector<std::pair<std::size_t, double>> scored;
     std::array<float, core::kFeatureCount> feat{};
     for (const std::size_t i : e.movable_nodes(params_.min_subtree_ops)) {
       const LiveNode& n = e.nodes[i];
-      const auto files = static_cast<double>(n.sub_files);
-      const auto dirs = static_cast<double>(n.sub_dirs);
-      const auto reads = static_cast<double>(n.reads);
-      const auto writes = static_cast<double>(n.writes);
-      feat[0] = static_cast<float>(n.depth / max_depth);
-      feat[1] = static_cast<float>(files / max_files);
-      feat[2] = static_cast<float>(dirs / max_dirs);
-      feat[3] = static_cast<float>(reads / total);
-      feat[4] = static_cast<float>(writes / total);
-      feat[5] = static_cast<float>(writes / std::max(1.0, reads + writes));
-      feat[6] = static_cast<float>((dirs + 1.0) / (files + 1.0));
+      core::table1_features(
+          static_cast<double>(n.depth), static_cast<double>(n.sub_files),
+          static_cast<double>(n.sub_dirs), static_cast<double>(n.reads),
+          static_cast<double>(n.writes), scale, feat);
       const double pred = model_->predict(feat);
       if (pred > min_benefit_) scored.emplace_back(i, pred);
     }

@@ -158,6 +158,35 @@ TEST(LiveBalancer, TriggerHoldsWhenBalanced) {
   EXPECT_TRUE(second.prepares.empty());
 }
 
+TEST(LiveBalancer, ReadsOpSharesOnTheTrainingScale) {
+  // Table 1 divides a subtree's reads and writes by the epoch's accesses,
+  // as training's FeatureExtractor does. Dividing by the sum of every
+  // subtree's totals instead counts each op once per directory above it,
+  // and here shrinks the hot subtree's read share below min-benefit, so
+  // the read-share model would never move it.
+  constexpr double kMinBenefit = 0.5;
+  fs::OrigamiFs fsys = make_fs_with_hotspot();
+  std::uint64_t epoch_ops = 0;
+  std::uint64_t nested_ops = 0;
+  std::uint64_t hot_reads = 0;
+  for (const auto& a : fsys.collect_activity(/*reset=*/false)) {
+    const std::uint64_t ops = a.reads + a.writes;
+    epoch_ops += ops;
+    nested_ops += ops * (a.depth + 1);  // the dir and each dir above it
+    hot_reads = std::max(hot_reads, a.reads);
+  }
+  const auto reads = static_cast<double>(hot_reads);
+  ASSERT_GT(reads / static_cast<double>(epoch_ops), kMinBenefit + 0.2);
+  ASSERT_LT(reads / static_cast<double>(nested_ops), kMinBenefit - 0.2);
+
+  HealthyContext ctx;
+  const std::uint64_t moved =
+      live_origami("origami:min-ops=8,min-benefit=0.5")->on_epoch(fsys, ctx);
+  ASSERT_GT(moved, 0u);
+  EXPECT_EQ(ctx.commits[0].from, 0u);
+  EXPECT_NE(fsys.owner_of("/hot/sub").value(), 0u);
+}
+
 TEST(LiveBalancer, NullModelIsNoop) {
   fs::OrigamiFs fsys = make_fs_with_hotspot();
   HealthyContext ctx;
