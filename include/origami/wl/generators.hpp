@@ -1,7 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <string_view>
 
+#include "origami/common/status.hpp"
 #include "origami/wl/trace.hpp"
 
 namespace origami::wl {
@@ -117,5 +120,15 @@ struct TraceMidasConfig {
   std::uint64_t ops = 400'000;
 };
 Trace make_trace_midas(const TraceMidasConfig& cfg = {});
+
+/// Every generated family by the name the tools take (`--trace NAME`).
+inline constexpr std::array<std::string_view, 7> kTraceFamilies = {
+    "rw", "ro", "wi", "web", "mdtest", "falcon", "midas"};
+
+/// Generates family `family` with `seed` and `ops` operations; every other
+/// knob keeps its config default. mdtest ignores `ops` (its size follows
+/// from its ranks and files). An unknown family is `invalid_argument`.
+common::Result<Trace> make_trace(std::string_view family, std::uint64_t seed,
+                                 std::uint64_t ops);
 
 }  // namespace origami::wl

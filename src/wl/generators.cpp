@@ -627,4 +627,41 @@ Trace make_trace_web_motivation(std::uint64_t seed, std::uint64_t ops) {
   return t;
 }
 
+namespace {
+
+/// Sets the two knobs every sized config shares and generates.
+template <typename Config>
+Trace sized(Trace (*make)(const Config&), std::uint64_t seed,
+            std::uint64_t ops) {
+  Config cfg;
+  cfg.seed = seed;
+  cfg.ops = ops;
+  return make(cfg);
+}
+
+}  // namespace
+
+common::Result<Trace> make_trace(std::string_view family, std::uint64_t seed,
+                                 std::uint64_t ops) {
+  if (family == "rw") return sized(&make_trace_rw, seed, ops);
+  if (family == "ro") return sized(&make_trace_ro, seed, ops);
+  if (family == "wi") return sized(&make_trace_wi, seed, ops);
+  if (family == "web") return make_trace_web_motivation(seed, ops);
+  if (family == "mdtest") {
+    TraceMdtestConfig cfg;
+    cfg.seed = seed;
+    return make_trace_mdtest(cfg);
+  }
+  if (family == "falcon") return sized(&make_trace_falcon, seed, ops);
+  if (family == "midas") return sized(&make_trace_midas, seed, ops);
+  std::string known;
+  for (const std::string_view name : kTraceFamilies) {
+    known += known.empty() ? "" : "|";
+    known += name;
+  }
+  return common::Status::invalid_argument("unknown trace family '" +
+                                          std::string(family) + "' (" +
+                                          known + ")");
+}
+
 }  // namespace origami::wl

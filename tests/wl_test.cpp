@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "origami/common/rng.hpp"
@@ -416,6 +417,51 @@ TEST(TraceFamilies, DeterministicPerSeed) {
   m2.seed += 1;
   EXPECT_NE(fingerprint(make_trace_midas(m)),
             fingerprint(make_trace_midas(m2)));
+}
+
+TEST(TraceFamilies, MakeTraceNamesEveryFamily) {
+  // The one name -> generator table the tools share: every family sets
+  // the seed, the sized ones the op count too (mdtest's size is its own).
+  TraceRwConfig rw;
+  rw.seed = 3;
+  rw.ops = 2'000;
+  TraceRoConfig ro;
+  ro.seed = 3;
+  ro.ops = 2'000;
+  TraceWiConfig wi;
+  wi.seed = 3;
+  wi.ops = 2'000;
+  TraceMdtestConfig mdtest;
+  mdtest.seed = 3;
+  TraceFalconConfig falcon;
+  falcon.seed = 3;
+  falcon.ops = 2'000;
+  TraceMidasConfig midas;
+  midas.seed = 3;
+  midas.ops = 2'000;
+  const std::map<std::string_view, Trace> direct = {
+      {"rw", make_trace_rw(rw)},
+      {"ro", make_trace_ro(ro)},
+      {"wi", make_trace_wi(wi)},
+      {"web", make_trace_web_motivation(3, 2'000)},
+      {"mdtest", make_trace_mdtest(mdtest)},
+      {"falcon", make_trace_falcon(falcon)},
+      {"midas", make_trace_midas(midas)}};
+  ASSERT_EQ(direct.size(), kTraceFamilies.size());
+  for (const std::string_view family : kTraceFamilies) {
+    auto made = make_trace(family, 3, 2'000);
+    ASSERT_TRUE(made.is_ok()) << family << ": " << made.status().to_string();
+    ASSERT_EQ(direct.count(family), 1u) << family;
+    EXPECT_FALSE(made.value().ops.empty()) << family;
+    EXPECT_EQ(fingerprint(made.value()), fingerprint(direct.at(family)))
+        << family;
+    EXPECT_EQ(made.value().tree.size(), direct.at(family).tree.size())
+        << family;
+  }
+  auto unknown = make_trace("bogus", 3, 2'000);
+  ASSERT_FALSE(unknown.is_ok());
+  EXPECT_EQ(unknown.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.status().to_string().find("bogus"), std::string::npos);
 }
 
 // ------------------------------------------------ timed trace (de)serialise --

@@ -34,9 +34,10 @@ namespace {
 
 constexpr const char* kUsage = R"(usage: origami_sim [options]
   --help                   print this usage, then exit
-  --trace FAMILY           rw|ro|wi|web|falcon|midas (default rw; falcon and
-                           midas are timed — they carry native arrival
-                           timestamps for --arrival=trace)
+  --trace FAMILY           rw|ro|wi|web|mdtest|falcon|midas (default rw;
+                           falcon and midas are timed — they carry native
+                           arrival timestamps for --arrival=trace; mdtest
+                           ignores --ops)
   --trace-file PATH        load a saved trace instead of generating one
   --ops N                  operations to generate (default 300000)
   --seed N                 workload seed (default 1)
@@ -109,52 +110,15 @@ bool documented(const std::string& name) {
   return false;
 }
 
-wl::Trace build_trace(const common::Flags& flags, std::uint64_t ops,
-                      std::uint64_t seed) {
-  const std::string file = flags.get("trace-file");
-  if (!file.empty()) {
-    auto loaded = wl::load_trace(file);
-    if (!loaded.is_ok()) {
-      std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
-      std::exit(1);
-    }
-    return std::move(loaded).value();
+/// Loads --trace-file. A file that does not load, or holds no operation to
+/// replay, is an error.
+common::Result<wl::Trace> load_trace_file(const std::string& path) {
+  auto loaded = wl::load_trace(path);
+  if (loaded.is_ok() && loaded.value().ops.empty()) {
+    return common::Status::invalid_argument(path +
+                                            ": trace has no operations");
   }
-  const std::string family = flags.get("trace", "rw");
-  if (family == "rw") {
-    wl::TraceRwConfig cfg;
-    cfg.ops = ops;
-    cfg.seed = seed;
-    return wl::make_trace_rw(cfg);
-  }
-  if (family == "ro") {
-    wl::TraceRoConfig cfg;
-    cfg.ops = ops;
-    cfg.seed = seed;
-    return wl::make_trace_ro(cfg);
-  }
-  if (family == "wi") {
-    wl::TraceWiConfig cfg;
-    cfg.ops = ops;
-    cfg.seed = seed;
-    return wl::make_trace_wi(cfg);
-  }
-  if (family == "web") return wl::make_trace_web_motivation(seed, ops);
-  if (family == "falcon") {
-    wl::TraceFalconConfig cfg;
-    cfg.ops = ops;
-    cfg.seed = seed;
-    return wl::make_trace_falcon(cfg);
-  }
-  if (family == "midas") {
-    wl::TraceMidasConfig cfg;
-    cfg.ops = ops;
-    cfg.seed = seed;
-    return wl::make_trace_midas(cfg);
-  }
-  std::fprintf(stderr, "error: unknown trace family '%s'\n%s", family.c_str(),
-               kUsage);
-  std::exit(1);
+  return loaded;
 }
 
 void print_result(const cluster::RunResult& r, bool faults, bool async) {
@@ -335,7 +299,25 @@ int main(int argc, char** argv) {
   // single-threaded, and every output is bit-identical at any setting.
   if (threads) common::set_analysis_threads(static_cast<std::size_t>(*threads));
 
-  const wl::Trace trace = build_trace(flags, ops, seed);
+  const std::string trace_file = flags.get("trace-file");
+  const std::string family = flags.get("trace", "rw");
+  wl::Trace trace;
+  if (trace_file.empty()) {
+    auto made = wl::make_trace(family, seed, ops);
+    if (!made.is_ok()) {
+      std::fprintf(stderr, "error: %s\n%s", made.status().to_string().c_str(),
+                   kUsage);
+      return 2;
+    }
+    trace = std::move(made).value();
+  } else {
+    auto loaded = load_trace_file(trace_file);
+    if (!loaded.is_ok()) {
+      std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
+      return 1;
+    }
+    trace = std::move(loaded).value();
+  }
   const auto summary = wl::summarize(trace);
   std::printf("trace %s: %lu ops, %zu dirs / %zu files, depth<=%u, "
               "writes %.0f%%\n\n",
@@ -364,42 +346,11 @@ int main(int argc, char** argv) {
   }
   if (needs_models) {
     std::printf("training models on a sibling run (seed+98)...\n");
-    wl::Trace train_trace = [&] {
-      const std::string file = flags.get("trace-file");
-      if (!file.empty()) {
-        return build_trace(flags, ops, seed);  // train on same trace
-      }
-      const std::string family = flags.get("trace", "rw");
-      if (family == "ro") {
-        wl::TraceRoConfig cfg;
-        cfg.ops = ops;
-        cfg.seed = seed + 98;
-        return wl::make_trace_ro(cfg);
-      }
-      if (family == "wi") {
-        wl::TraceWiConfig cfg;
-        cfg.ops = ops;
-        cfg.seed = seed + 98;
-        return wl::make_trace_wi(cfg);
-      }
-      if (family == "web") return wl::make_trace_web_motivation(seed + 98, ops);
-      if (family == "falcon") {
-        wl::TraceFalconConfig cfg;
-        cfg.ops = ops;
-        cfg.seed = seed + 98;
-        return wl::make_trace_falcon(cfg);
-      }
-      if (family == "midas") {
-        wl::TraceMidasConfig cfg;
-        cfg.ops = ops;
-        cfg.seed = seed + 98;
-        return wl::make_trace_midas(cfg);
-      }
-      wl::TraceRwConfig cfg;
-      cfg.ops = ops;
-      cfg.seed = seed + 98;
-      return wl::make_trace_rw(cfg);
-    }();
+    // A loaded trace trains on itself; a generated family on its sibling.
+    const wl::Trace train_trace =
+        trace_file.empty()
+            ? std::move(wl::make_trace(family, seed + 98, ops)).value()
+            : trace;
     core::LabelGenOptions lg;
     lg.replay = opt;
     lg.meta_opt.cache_enabled = opt.cache_enabled;

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "origami/common/flags.hpp"
@@ -18,45 +19,34 @@ using namespace origami;
 namespace {
 
 constexpr const char* kUsage = R"(usage:
-  trace_tool gen     --trace rw|ro|wi|web|mdtest --ops N --seed N --out PATH
+  trace_tool gen     --trace rw|ro|wi|web|mdtest|falcon|midas --ops N --seed N
+                     --out PATH     # N >= 1 ops; mdtest ignores --ops
   trace_tool info    PATH
   trace_tool head    PATH [--n N]
   trace_tool export  PATH --out PATH.txt     # binary -> text format
   trace_tool import  PATH.txt --out PATH     # text -> binary format
 )";
 
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+
+/// Prints a rejected argument with the usage; exit 2, as origami_sim does.
+int usage_error(const common::Status& status) {
+  std::fprintf(stderr, "error: %s\n%s", status.to_string().c_str(), kUsage);
+  return 2;
+}
+
 int cmd_gen(const common::Flags& flags) {
   const std::string family = flags.get("trace", "rw");
-  const auto ops = static_cast<std::uint64_t>(flags.get_int("ops", 400'000));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  common::FlagReader read(flags);
+  const auto ops = read.int_flag("ops", 1, kMaxInt).value_or(400'000);
+  const auto seed = read.int_flag("seed", 0, kMaxInt).value_or(1);
+  if (!read.status().is_ok()) return usage_error(read.status());
+  auto made = wl::make_trace(family, static_cast<std::uint64_t>(seed),
+                             static_cast<std::uint64_t>(ops));
+  if (!made.is_ok()) return usage_error(made.status());
+  const wl::Trace& trace = made.value();
   const std::string out = flags.get("out", family + ".trace");
 
-  wl::Trace trace;
-  if (family == "rw") {
-    wl::TraceRwConfig cfg;
-    cfg.ops = ops;
-    cfg.seed = seed;
-    trace = wl::make_trace_rw(cfg);
-  } else if (family == "ro") {
-    wl::TraceRoConfig cfg;
-    cfg.ops = ops;
-    cfg.seed = seed;
-    trace = wl::make_trace_ro(cfg);
-  } else if (family == "wi") {
-    wl::TraceWiConfig cfg;
-    cfg.ops = ops;
-    cfg.seed = seed;
-    trace = wl::make_trace_wi(cfg);
-  } else if (family == "web") {
-    trace = wl::make_trace_web_motivation(seed, ops);
-  } else if (family == "mdtest") {
-    wl::TraceMdtestConfig cfg;
-    cfg.seed = seed;
-    trace = wl::make_trace_mdtest(cfg);
-  } else {
-    std::fprintf(stderr, "unknown trace family '%s'\n%s", family.c_str(), kUsage);
-    return 1;
-  }
   const auto status = wl::save_trace(trace, out);
   if (!status.is_ok()) {
     std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
@@ -166,7 +156,10 @@ int main(int argc, char** argv) {
   if (cmd == "gen") return cmd_gen(flags);
   if (cmd == "info" && pos.size() > 1) return cmd_info(pos[1]);
   if (cmd == "head" && pos.size() > 1) {
-    return cmd_head(pos[1], flags.get_int("n", 10));
+    common::FlagReader read(flags);
+    const auto n = read.int_flag("n", 0, kMaxInt).value_or(10);
+    if (!read.status().is_ok()) return usage_error(read.status());
+    return cmd_head(pos[1], n);
   }
   if (cmd == "export" && pos.size() > 1) return cmd_export(pos[1], flags);
   if (cmd == "import" && pos.size() > 1) return cmd_import(pos[1], flags);
