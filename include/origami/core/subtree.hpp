@@ -18,13 +18,9 @@ namespace origami::core {
 class SubtreeView {
  public:
   /// Rolls up `dir_stats` over the tree and labels ownership uniformity.
-  /// With `aggregate_subtrees == false` the view stays directory-granular
-  /// (each entry is the directory's own epoch stats and direct child
-  /// counts) — the granularity of LoADM-style directory migration.
   static SubtreeView build(const fsns::DirTree& tree,
                            const std::vector<cluster::DirEpochStats>& dir_stats,
-                           const mds::PartitionMap& partition,
-                           bool aggregate_subtrees = true);
+                           const mds::PartitionMap& partition);
 
   /// Sum over the subtree of metadata read / write ops homed in it.
   [[nodiscard]] std::uint64_t reads(fsns::NodeId d) const { return reads_[d]; }

@@ -34,20 +34,17 @@ struct FaultPlan {
 
   /// Per-MDS, per-epoch probability of a fail-stop crash. The crash instant
   /// is uniform inside the epoch; the outage lasts `crash_recovery` scaled
-  /// by an exponential draw (mean 1.0) when `randomize_durations`.
+  /// by an exponential draw (mean 1.0).
   double crash_prob = 0.0;
   sim::SimTime crash_recovery = sim::seconds(2);
 
   /// Per-MDS, per-epoch probability of a straggler window (transient
   /// overload / GC pause / slow disk): service times multiply by
-  /// `straggler_slow` for `straggler_duration`.
+  /// `straggler_slow` for `straggler_duration` scaled by an exponential
+  /// draw (mean 1.0).
   double straggler_prob = 0.0;
   double straggler_slow = 4.0;
   sim::SimTime straggler_duration = sim::seconds(1);
-
-  /// When true, window durations are scaled by Exp(1) draws from the
-  /// injector's deterministic stream; when false they are exact.
-  bool randomize_durations = true;
 
   /// Per one-way message probabilities, applied inside net::Network.
   double rpc_loss_prob = 0.0;

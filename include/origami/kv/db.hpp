@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -43,13 +42,10 @@ struct DbOptions {
   /// Optional WAL file path; empty keeps the log in memory.
   std::string wal_path;
   CommitMode commit_mode = CommitMode::kSync;
-  /// Async mode: group-commit when this many records are buffered.
+  /// Async mode: group-commit when this many records are buffered. Batch
+  /// size and explicit `commit()` calls are the only triggers, so the
+  /// deterministic drivers (the DES, the live plane) own the timing.
   std::size_t commit_batch = 64;
-  /// Async mode: group-commit when the oldest buffered record is at least
-  /// this old (wall clock, checked at every append). 0 disables the age
-  /// trigger — batch size and explicit `commit()` calls drive flushes,
-  /// which keeps deterministic drivers (the DES) in charge of timing.
-  std::uint64_t commit_window_micros = 0;
 };
 
 /// Operation counters exposed for benchmarks and tests.
@@ -239,8 +235,10 @@ class Db {
 
   void maybe_flush_locked();
   void flush_locked();
-  /// Applies the batch/age group-commit triggers (async mode).
-  void maybe_group_commit_locked();
+  /// The write path of `put` and `del`: logs the record (sync) or buffers
+  /// it for a group commit (async), then applies it to the memtable.
+  common::Status write_locked(WalRecordType type, std::string_view key,
+                              std::string_view value);
   common::Status commit_locked();
   void place_into_level_locked(int level_index,
                                std::vector<std::pair<std::string, Entry>> entries);
@@ -266,7 +264,6 @@ class Db {
   };
   std::string commit_buf_;
   std::vector<PendingRecord> pending_;
-  std::chrono::steady_clock::time_point oldest_pending_at_{};
   /// Highest seqno known durable (synced WAL or sorted run).
   std::uint64_t durable_seqno_ = 0;
   /// Highest seqno currently in the synced WAL (0 after a memtable flush

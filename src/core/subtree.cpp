@@ -7,7 +7,7 @@ namespace origami::core {
 SubtreeView SubtreeView::build(
     const fsns::DirTree& tree,
     const std::vector<cluster::DirEpochStats>& dir_stats,
-    const mds::PartitionMap& partition, bool aggregate_subtrees) {
+    const mds::PartitionMap& partition) {
   SubtreeView view;
   const std::size_t n = tree.size();
   view.reads_.assign(n, 0);
@@ -34,8 +34,6 @@ SubtreeView SubtreeView::build(
     view.uniform_owner_[i] = partition.dir_owner(id);
     view.total_ops_ += s.reads + s.writes;
   }
-
-  if (!aggregate_subtrees) return view;
 
   // Children always have larger ids than parents (append-only tree build),
   // so one reverse sweep aggregates bottom-up.

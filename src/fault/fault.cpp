@@ -70,8 +70,6 @@ std::vector<FaultWindow> FaultInjector::windows_for_epoch(
     const double strag_gate = unit(sm);
     const double strag_off = unit(sm);
     const double strag_scale = exp1(sm);
-    const double crash_dur = plan_.randomize_durations ? crash_scale : 1.0;
-    const double strag_dur = plan_.randomize_durations ? strag_scale : 1.0;
 
     if (plan_.crash_prob > 0.0 && crash_gate < plan_.crash_prob) {
       FaultWindow w;
@@ -83,7 +81,7 @@ std::vector<FaultWindow> FaultInjector::windows_for_epoch(
                              sim::kMicrosecond,
                              static_cast<sim::SimTime>(
                                  static_cast<double>(plan_.crash_recovery) *
-                                 crash_dur));
+                                 crash_scale));
       out.push_back(w);
     }
     if (plan_.straggler_prob > 0.0 && strag_gate < plan_.straggler_prob) {
@@ -97,7 +95,7 @@ std::vector<FaultWindow> FaultInjector::windows_for_epoch(
                              sim::kMicrosecond,
                              static_cast<sim::SimTime>(
                                  static_cast<double>(plan_.straggler_duration) *
-                                 strag_dur));
+                                 strag_scale));
       out.push_back(w);
     }
   }

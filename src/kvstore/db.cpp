@@ -44,70 +44,42 @@ Db::~Db() = default;
 common::Status Db::put(std::string_view key, std::string_view value) {
   std::lock_guard lock(mutex_);
   ++stats_.puts;
-  const std::uint64_t seqno = next_seqno_++;
-  if (options_.commit_mode == CommitMode::kAsync) {
-    if (pending_.empty()) oldest_pending_at_ = std::chrono::steady_clock::now();
-    WriteAheadLog::encode(commit_buf_, WalRecordType::kPut, key, value, seqno);
-    pending_.push_back({seqno, std::string(key), false});
-    stats_.commit_buffer_bytes_max =
-        std::max<std::uint64_t>(stats_.commit_buffer_bytes_max,
-                                commit_buf_.size());
-    mem_.put(key, value, seqno);  // acked here; durability comes later
-    maybe_group_commit_locked();
-  } else {
-    if (auto s = wal_.append(WalRecordType::kPut, key, value, seqno);
-        !s.is_ok()) {
-      return s;
-    }
-    durable_seqno_ = seqno;
-    wal_tail_seqno_ = seqno;
-    mem_.put(key, value, seqno);
-  }
-  maybe_flush_locked();
-  return common::Status::ok();
+  return write_locked(WalRecordType::kPut, key, value);
 }
 
 common::Status Db::del(std::string_view key) {
   std::lock_guard lock(mutex_);
   ++stats_.deletes;
+  return write_locked(WalRecordType::kDelete, key, {});
+}
+
+common::Status Db::write_locked(WalRecordType type, std::string_view key,
+                                std::string_view value) {
+  const bool tombstone = type == WalRecordType::kDelete;
   const std::uint64_t seqno = next_seqno_++;
+  const auto apply = [&] {
+    if (tombstone) {
+      mem_.del(key, seqno);
+    } else {
+      mem_.put(key, value, seqno);
+    }
+  };
   if (options_.commit_mode == CommitMode::kAsync) {
-    if (pending_.empty()) oldest_pending_at_ = std::chrono::steady_clock::now();
-    WriteAheadLog::encode(commit_buf_, WalRecordType::kDelete, key, {}, seqno);
-    pending_.push_back({seqno, std::string(key), true});
+    WriteAheadLog::encode(commit_buf_, type, key, value, seqno);
+    pending_.push_back({seqno, std::string(key), tombstone});
     stats_.commit_buffer_bytes_max =
         std::max<std::uint64_t>(stats_.commit_buffer_bytes_max,
                                 commit_buf_.size());
-    mem_.del(key, seqno);
-    maybe_group_commit_locked();
+    apply();  // acked here; durability comes later
+    if (pending_.size() >= options_.commit_batch) (void)commit_locked();
   } else {
-    if (auto s = wal_.append(WalRecordType::kDelete, key, {}, seqno);
-        !s.is_ok()) {
-      return s;
-    }
+    if (auto s = wal_.append(type, key, value, seqno); !s.is_ok()) return s;
     durable_seqno_ = seqno;
     wal_tail_seqno_ = seqno;
-    mem_.del(key, seqno);
+    apply();
   }
   maybe_flush_locked();
   return common::Status::ok();
-}
-
-void Db::maybe_group_commit_locked() {
-  if (pending_.empty()) return;
-  if (pending_.size() >= options_.commit_batch) {
-    (void)commit_locked();
-    return;
-  }
-  if (options_.commit_window_micros > 0) {
-    const auto age = std::chrono::duration_cast<std::chrono::microseconds>(
-                         std::chrono::steady_clock::now() - oldest_pending_at_)
-                         .count();
-    if (age >= 0 &&
-        static_cast<std::uint64_t>(age) >= options_.commit_window_micros) {
-      (void)commit_locked();
-    }
-  }
 }
 
 common::Status Db::commit_locked() {
