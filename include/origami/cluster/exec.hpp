@@ -146,6 +146,14 @@ class ExecEngine {
   /// The one issue body both loops share: pops the next trace op, builds
   /// its plan, accounts it and launches the first network hop.
   void issue_one(std::uint32_t client);
+  /// Whether fencing checks this visit's ownership epoch: fencing is on and
+  /// the visit is an exec or coord visit — except an exec on a hashed file
+  /// inode, which never migrates.
+  [[nodiscard]] bool fence_checked(const Visit& v) const;
+  /// A fenced visit's bounce: counts the rejection, retargets the visit at
+  /// the live owner with its current epoch and travels there from the
+  /// stale MDS, or runs the retry path when that delivery fails.
+  void reroute(std::size_t slot, Visit& v);
   /// Async commit: flush when the batch threshold is reached, or arm the
   /// commit-window timer when this append opened a fresh batch.
   void schedule_group_commit(std::uint32_t mds);

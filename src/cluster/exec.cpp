@@ -189,25 +189,11 @@ void ExecEngine::hop(std::size_t slot) {
     }
     // Fencing: a mutation/coordination arrival planned against an older
     // ownership epoch is rejected cheaply and re-routed to the live owner.
-    // (Hashed file inodes never migrate, so their exec visits are exempt.)
-    if (core_.opt.recovery.fencing &&
-        (v.role == VisitRole::kExec || v.role == VisitRole::kCoord) &&
-        !(v.role == VisitRole::kExec && !core_.trace.tree.is_dir(v.node) &&
-          core_.partition.hash_file_inodes()) &&
-        core_.fence_epoch(v.node) != v.epoch) {
-      ++core_.result.faults.fenced_rejections;
+    if (fence_checked(v) && core_.fence_epoch(v.node) != v.epoch) {
       ++core_.servers[v.mds].counters().rpcs;
       core_.servers[v.mds].serve(core_.queue.now(),
                                  core_.opt.cost_params.t_rpc_handle);
-      const MdsId stale = v.mds;
-      failover_->retarget(v);
-      v.epoch = core_.fence_epoch(v.node);
-      const SimTime travel = core_.network.one_way(stale, v.mds);
-      if (failover_->delivery_fails(v.mds, core_.queue.now() + travel)) {
-        failover_->retry_or_fail(slot, stale, 0);
-      } else {
-        core_.queue.schedule_after(travel, [this, slot] { hop(slot); });
-      }
+      reroute(slot, v);
       return;
     }
   }
@@ -232,11 +218,7 @@ void ExecEngine::hop(std::size_t slot) {
     if (core_.fault_plane.async_commit()) schedule_group_commit(v.mds);
   }
   const SimTime done = server.serve(core_.queue.now(), service);
-  if (core_.faults_on && core_.opt.recovery.fencing &&
-      done > core_.queue.now() &&
-      (v.role == VisitRole::kExec || v.role == VisitRole::kCoord) &&
-      !(v.role == VisitRole::kExec && !core_.trace.tree.is_dir(v.node) &&
-        core_.partition.hash_file_inodes())) {
+  if (core_.faults_on && done > core_.queue.now() && fence_checked(v)) {
     // The request waits in the server's queue until `done`; a subtree
     // export can commit in that window (a busy source MDS queues requests
     // across its own copy), so authority is re-checked at completion.
@@ -253,19 +235,32 @@ void ExecEngine::recheck_fence(std::size_t slot) {
     // The fragment was exported while the request sat in the queue: the
     // execution is void and the op re-runs at the new owner (at-least-once,
     // exactly like a lost final reply).
-    ++core_.result.faults.fenced_rejections;
-    const MdsId stale = v.mds;
-    failover_->retarget(v);
-    v.epoch = core_.fence_epoch(v.node);
-    const SimTime travel = core_.network.one_way(stale, v.mds);
-    if (failover_->delivery_fails(v.mds, core_.queue.now() + travel)) {
-      failover_->retry_or_fail(slot, stale, 0);
-    } else {
-      core_.queue.schedule_after(travel, [this, slot] { hop(slot); });
-    }
+    reroute(slot, v);
     return;
   }
   advance(slot, core_.queue.now());
+}
+
+bool ExecEngine::fence_checked(const Visit& v) const {
+  if (!core_.opt.recovery.fencing) return false;
+  if (v.role == VisitRole::kCoord) return true;
+  // Hashed file inodes never migrate, so their exec visits are exempt.
+  return v.role == VisitRole::kExec &&
+         (core_.trace.tree.is_dir(v.node) ||
+          !core_.partition.hash_file_inodes());
+}
+
+void ExecEngine::reroute(std::size_t slot, Visit& v) {
+  ++core_.result.faults.fenced_rejections;
+  const MdsId stale = v.mds;
+  failover_->retarget(v);
+  v.epoch = core_.fence_epoch(v.node);
+  const SimTime travel = core_.network.one_way(stale, v.mds);
+  if (failover_->delivery_fails(v.mds, core_.queue.now() + travel)) {
+    failover_->retry_or_fail(slot, stale, 0);
+  } else {
+    core_.queue.schedule_after(travel, [this, slot] { hop(slot); });
+  }
 }
 
 void ExecEngine::advance(std::size_t slot, SimTime done) {
