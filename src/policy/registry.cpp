@@ -174,8 +174,10 @@ Registry build_registry() {
     e.summary = "GBDT benefit-driven greedy migration (the paper's policy)";
     e.needs_benefit_model = true;
     e.params = with_trigger({
-        {"min-benefit", "stop below this predicted benefit (s)", "0.01", kReal},
-        {"budget", "max migrations per epoch", "24", kInt},
+        {"min-benefit",
+         "stop below this predicted benefit (s; live default 0.002)", "0.01",
+         kReal},
+        {"budget", "max migrations per epoch (live default 8)", "24", kInt},
         {"candidates", "candidate pool bound", "1024", kInt},
         {"min-ops", "ignore subtrees with fewer ops in the window", "16", kInt},
         {"delta-ms", "Appendix-A post-migration imbalance guard", "800", kReal},
@@ -262,7 +264,8 @@ Registry build_registry() {
     e.summary = "hottest MDS sheds hottest subtrees to the coldest MDS";
     e.params = with_trigger(
         {
-            {"budget", "max migrations per epoch", "24", kInt},
+            {"budget", "max migrations per epoch (live default 8)", "24",
+             kInt},
             {"candidates", "candidate pool bound", "1024", kInt},
             {"min-ops", "ignore subtrees with fewer ops", "16", kInt},
             {"max-inodes", "inode-move throttle per epoch", "100000", kInt},
@@ -289,7 +292,9 @@ Registry build_registry() {
     e.summary = "re-hashes drifted hot directories toward f-hash placement";
     e.params = with_trigger(
         {
-            {"budget", "directories re-hashed per firing epoch", "64", kInt},
+            {"budget",
+             "directories re-hashed per firing epoch (live default 32)", "64",
+             kInt},
             {"levels", "coarse-hash depth of the initial placement", "2", kInt},
         },
         "0.1");
@@ -319,7 +324,8 @@ Registry build_registry() {
         "CephFS-style load fractions: over-mean MDSs shed their excess";
     e.params = with_trigger(
         {
-            {"budget", "max migrations per epoch", "24", kInt},
+            {"budget", "max migrations per epoch (live default 8)", "24",
+             kInt},
             {"candidates", "candidate pool bound", "1024", kInt},
             {"min-ops", "ignore subtrees with fewer ops", "16", kInt},
             {"max-inodes", "inode-move throttle per epoch", "100000", kInt},
