@@ -323,21 +323,18 @@ class LiveEngine final : public LiveFaultContext {
     stats_.latency.add(static_cast<std::uint64_t>(completion - arrival));
     stats_.shard_busy[shard] += service;
     ++stats_.shard_served[shard];
-    if (faults_on_ && fsns::is_write(op.type) && home != kInvalidIno) {
-      journal_write(shard, ++next_op_id_, static_cast<fsns::NodeId>(home));
+    if (!faults_on_ || !fsns::is_write(op.type) || home == kInvalidIno) {
+      return;
     }
-  }
-
-  /// Frames an acknowledged write into its shard's journal, stamped with
-  /// the shard clock. Live calls return synchronously, so in async mode
-  /// the ack lands with the append; durability still waits for the group
-  /// commit, which the shard decides on its own clock: batch size first,
-  /// then the commit-window age of the oldest buffered record.
-  void journal_write(std::uint32_t shard, std::uint64_t op_id,
-                     fsns::NodeId home) {
+    // Frame the acknowledged write into its shard's journal on the shard
+    // clock. Live calls return synchronously, so in async mode the ack
+    // lands with the append; durability still waits for the group commit,
+    // which the shard decides on its own clock: batch size first, then
+    // the commit-window age of the oldest buffered record.
+    const std::uint64_t op_id = ++next_op_id_;
     const sim::SimTime stamp = shard_clock_[shard];
     recovery::MetadataJournal& journal = plane_.journal(shard);
-    journal.append_op(op_id, home, stamp);
+    journal.append_op(op_id, static_cast<fsns::NodeId>(home), stamp);
     if (!plane_.async_commit()) return;
     journal.note_acked(op_id, stamp);
     const bool batch_due =

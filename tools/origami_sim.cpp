@@ -110,17 +110,6 @@ bool documented(const std::string& name) {
   return false;
 }
 
-/// Loads --trace-file. A file that does not load, or holds no operation to
-/// replay, is an error.
-common::Result<wl::Trace> load_trace_file(const std::string& path) {
-  auto loaded = wl::load_trace(path);
-  if (loaded.is_ok() && loaded.value().ops.empty()) {
-    return common::Status::invalid_argument(path +
-                                            ": trace has no operations");
-  }
-  return loaded;
-}
-
 void print_result(const cluster::RunResult& r, bool faults, bool async) {
   std::printf("%-9s %4u MDS  %9.0f ops/s (steady %9.0f)  lat %7.1f us "
               "(p99 %8.1f)  RPC/req %.3f  IF busy/qps %.2f/%.2f  "
@@ -311,7 +300,11 @@ int main(int argc, char** argv) {
     }
     trace = std::move(made).value();
   } else {
-    auto loaded = load_trace_file(trace_file);
+    auto loaded = wl::load_trace(trace_file);
+    if (loaded.is_ok() && loaded.value().ops.empty()) {
+      loaded = common::Status::invalid_argument(
+          trace_file + ": trace has no operations to replay");
+    }
     if (!loaded.is_ok()) {
       std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
       return 1;
