@@ -97,8 +97,9 @@ int main(int argc, char** argv) {
   const wl::Trace trace = bench::standard_rw(/*seed=*/1, ops);
 
   common::CsvWriter csv = bench::open_csv("fig14", "saturation");
-  csv.header({"section", "scenario", "clients", "virtual_throughput_ops", "p99_latency_us", "makespan_ms",
-              "host_ms", "time_down_ms", "time_degraded_ms", "failed_ops"});
+  csv.header({"section", "scenario", "clients", "virtual_throughput_ops",
+              "p99_latency_us", "makespan_ms", "host_ms", "time_down_ms",
+              "time_degraded_ms", "failed_ops"});
   const auto emit = [&csv](const char* section, const std::string& scenario,
                            std::uint32_t clients, const LiveRun& run) {
     const fs::LiveReplayStats& s = run.stats;

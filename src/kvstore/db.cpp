@@ -56,28 +56,26 @@ common::Status Db::del(std::string_view key) {
 common::Status Db::write_locked(WalRecordType type, std::string_view key,
                                 std::string_view value) {
   const bool tombstone = type == WalRecordType::kDelete;
+  const bool async = options_.commit_mode == CommitMode::kAsync;
   const std::uint64_t seqno = next_seqno_++;
-  const auto apply = [&] {
-    if (tombstone) {
-      mem_.del(key, seqno);
-    } else {
-      mem_.put(key, value, seqno);
-    }
-  };
-  if (options_.commit_mode == CommitMode::kAsync) {
+  if (async) {
     WriteAheadLog::encode(commit_buf_, type, key, value, seqno);
     pending_.push_back({seqno, std::string(key), tombstone});
     stats_.commit_buffer_bytes_max =
         std::max<std::uint64_t>(stats_.commit_buffer_bytes_max,
                                 commit_buf_.size());
-    apply();  // acked here; durability comes later
-    if (pending_.size() >= options_.commit_batch) (void)commit_locked();
   } else {
     if (auto s = wal_.append(type, key, value, seqno); !s.is_ok()) return s;
     durable_seqno_ = seqno;
     wal_tail_seqno_ = seqno;
-    apply();
   }
+  // The ack point; in async mode durability comes with the group commit.
+  if (tombstone) {
+    mem_.del(key, seqno);
+  } else {
+    mem_.put(key, value, seqno);
+  }
+  if (async && pending_.size() >= options_.commit_batch) (void)commit_locked();
   maybe_flush_locked();
   return common::Status::ok();
 }
