@@ -118,7 +118,7 @@ struct EngineCore {
 /// clean path.
 class ExecEngine {
  public:
-  ExecEngine(EngineCore& core, const RequestPlanner& planner)
+  ExecEngine(EngineCore& core, RequestPlanner& planner)
       : core_(core), planner_(planner) {}
   void bind(FailoverEngine& failover) { failover_ = &failover; }
 
@@ -162,7 +162,7 @@ class ExecEngine {
   void flush_journal(std::uint32_t mds);
 
   EngineCore& core_;
-  const RequestPlanner& planner_;
+  RequestPlanner& planner_;
   FailoverEngine* failover_ = nullptr;
 };
 

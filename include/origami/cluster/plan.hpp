@@ -31,6 +31,8 @@ struct Visit {
   /// Fragment ownership epoch captured at planning time; a mismatch at
   /// arrival means the fragment migrated underneath us (fencing).
   std::uint32_t epoch = 0;
+
+  friend bool operator==(const Visit&, const Visit&) = default;
 };
 
 /// Fully planned request: visit sequence + Eq. 1/2 accounting inputs.
@@ -47,6 +49,8 @@ struct Plan {
   /// Non-zero for mutating ops under fault injection: the id journaled at
   /// the executing MDS and recorded as acknowledged on completion.
   std::uint64_t op_id = 0;
+
+  friend bool operator==(const Plan&, const Plan&) = default;
 };
 
 /// The directory whose ownership epoch fences a visit to `node`.
@@ -65,7 +69,7 @@ struct Plan {
 /// partition: path resolution over the ancestor chain (client cache + stale
 /// forwarding stubs, §4.2), execution at the owner, lsdir fan-out and
 /// distributed ns-mutation coordination (Eq. 1/2 inputs). Stateless apart
-/// from the client cache it drives.
+/// from the client cache it drives and a reused ancestor-chain buffer.
 class RequestPlanner {
  public:
   RequestPlanner(const fsns::DirTree& tree, const mds::PartitionMap& partition,
@@ -77,7 +81,10 @@ class RequestPlanner {
         model_(model),
         params_(params) {}
 
-  [[nodiscard]] Plan build_plan(const wl::MetaOp& op) const;
+  /// Plans `op` into `plan`, overwriting every field. The caller's plan
+  /// keeps its visit buffer, so a reused in-flight slot plans without
+  /// allocating once its buffer has grown to the longest plan.
+  void build_plan(const wl::MetaOp& op, Plan& plan);
 
  private:
   const fsns::DirTree& tree_;
@@ -85,6 +92,7 @@ class RequestPlanner {
   mds::NearRootCache& cache_;
   const cost::CostModel& model_;
   const cost::CostParams& params_;
+  std::vector<fsns::NodeId> chain_;  ///< the ancestor chain being resolved
 };
 
 }  // namespace origami::cluster

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "origami/sim/time.hpp"
@@ -12,6 +11,11 @@ namespace origami::sim {
 /// Discrete-event scheduler. Events at equal timestamps run in scheduling
 /// order (a monotone sequence number breaks ties), which keeps the
 /// simulation fully deterministic.
+///
+/// The heap orders small `{time, seq, slot}` keys; each callable waits in a
+/// slab slot that a free list recycles, so a sift moves 24-byte keys rather
+/// than callables. A callable is moved out of its slot before it runs, so
+/// a handler may schedule (and grow the slab) freely.
 class EventQueue {
  public:
   /// Schedules `fn` at absolute time `t`. Events have no virtual past: a
@@ -37,19 +41,24 @@ class EventQueue {
   void clear();
 
  private:
-  struct Event {
+  struct Key {
     SimTime time;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint32_t slot;  ///< index of the callable in `slab_`
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  /// Pops the earliest event, advances the clock to it and runs it.
+  void run_next();
+
+  std::vector<Key> heap_;  ///< binary min-heap under `Later`
+  std::vector<std::function<void()>> slab_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

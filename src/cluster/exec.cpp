@@ -147,7 +147,7 @@ void ExecEngine::issue_one(std::uint32_t client) {
 
   const std::size_t slot = core_.alloc_slot();
   InFlight& fl = core_.pool[slot];
-  fl.plan = planner_.build_plan(op);
+  planner_.build_plan(op, fl.plan);
   if (core_.faults_on && fsns::is_write(op.type)) {
     fl.plan.op_id = ++core_.next_op_id;
   }

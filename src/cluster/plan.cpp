@@ -1,6 +1,7 @@
 #include "origami/cluster/plan.hpp"
 
 #include <array>
+#include <utility>
 
 namespace origami::cluster {
 
@@ -10,9 +11,14 @@ using fsns::OpClass;
 using fsns::OpType;
 using sim::SimTime;
 
-Plan RequestPlanner::build_plan(const wl::MetaOp& op) const {
+void RequestPlanner::build_plan(const wl::MetaOp& op, Plan& plan) {
   const auto& tree = tree_;
-  Plan plan;
+  // Every field starts afresh; only the visit buffer's capacity carries
+  // over from whatever the slot planned last.
+  std::vector<Visit> visits = std::move(plan.visits);
+  visits.clear();
+  plan = Plan{};
+  plan.visits = std::move(visits);
   plan.type = op.type;
   plan.target = op.target;
   plan.data_bytes = op.data_bytes;
@@ -44,7 +50,7 @@ Plan RequestPlanner::build_plan(const wl::MetaOp& op) const {
   // Path resolution over the ancestor chain (root .. parent-of-target).
   // Near-root components may be served from the client cache; a stale cache
   // entry visits the old owner's forwarding stub first (§4.2).
-  const auto chain = tree.ancestors(op.target);
+  tree.ancestors(op.target, chain_);
   std::array<MdsId, 64> seen{};
   std::size_t seen_n = 0;
   auto note_owner = [&](MdsId mds) {
@@ -54,8 +60,8 @@ Plan RequestPlanner::build_plan(const wl::MetaOp& op) const {
     if (seen_n < seen.size()) seen[seen_n++] = mds;
   };
 
-  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-    const NodeId comp = chain[i];
+  for (std::size_t i = 0; i + 1 < chain_.size(); ++i) {
+    const NodeId comp = chain_[i];
     const MdsId owner = partition_.dir_owner(comp);
     const auto outcome =
         cache_.access(comp, tree.depth(comp), partition_.dir_version(comp));
@@ -133,7 +139,6 @@ Plan RequestPlanner::build_plan(const wl::MetaOp& op) const {
   }
 
   plan.m = static_cast<std::uint32_t>(seen_n);
-  return plan;
 }
 
 }  // namespace origami::cluster

@@ -26,10 +26,11 @@ struct OpCost {
   bool ns_cross = false;
 };
 
+/// `chain` is the caller's reused buffer for the ancestor chain.
 OpCost analyze(const wl::MetaOp& op, const fsns::DirTree& tree,
                const mds::PartitionMap& partition,
                const cost::CostModel& model, bool cache_enabled,
-               std::uint32_t cache_depth) {
+               std::uint32_t cache_depth, std::vector<NodeId>& chain) {
   OpCost out;
   out.exec_owner = partition.node_owner(op.target);
   out.home = tree.is_dir(op.target) ? op.target : tree.parent(op.target);
@@ -40,7 +41,7 @@ OpCost analyze(const wl::MetaOp& op, const fsns::DirTree& tree,
   // (which used to undercount lsdir_spread and forwarding hops).
   common::SmallSet<MdsId, 16> seen;
 
-  const auto chain = tree.ancestors(op.target);
+  tree.ancestors(op.target, chain);
   for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
     const NodeId comp = chain[i];
     if (cache_enabled && tree.depth(comp) < cache_depth) continue;
@@ -94,10 +95,11 @@ void accumulate_window(std::span<const wl::MetaOp> window, std::size_t begin,
                        const mds::PartitionMap& partition,
                        const cost::CostModel& model, bool cache_enabled,
                        std::uint32_t cache_depth, WindowAnalysis& wa) {
+  std::vector<NodeId> chain;
   for (std::size_t i = begin; i < end; ++i) {
     const wl::MetaOp& op = window[i];
-    const OpCost oc =
-        analyze(op, tree, partition, model, cache_enabled, cache_depth);
+    const OpCost oc = analyze(op, tree, partition, model, cache_enabled,
+                              cache_depth, chain);
     wa.bins.charge(oc.exec_owner, oc.rct.total());
     cluster::DirEpochStats& home = wa.dirs[oc.home];
     if (fsns::is_write(op.type)) {

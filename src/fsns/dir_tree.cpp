@@ -1,28 +1,29 @@
 #include "origami/fsns/dir_tree.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace origami::fsns {
 
 DirTree::DirTree() {
-  Node root;
-  root.is_dir = true;
-  root.name = "";
-  nodes_.push_back(std::move(root));
+  nodes_.emplace_back();
+  Link root;
+  root.is_dir = 1;
+  links_.push_back(root);
   dir_count_ = 1;
 }
 
 NodeId DirTree::add_node(NodeId parent, std::string name, bool is_dir) {
   assert(parent < nodes_.size());
-  assert(nodes_[parent].is_dir);
+  assert(this->is_dir(parent));
   const auto id = static_cast<NodeId>(nodes_.size());
   Node n;
-  n.parent = parent;
-  n.depth = nodes_[parent].depth + 1;
-  n.is_dir = is_dir;
   n.name = std::move(name);
   nodes_.push_back(std::move(n));
+  Link link;
+  link.parent = parent;
+  link.depth = depth(parent) + 1;
+  link.is_dir = is_dir ? 1 : 0;
+  links_.push_back(link);
   Node& p = nodes_[parent];
   p.children.push_back(id);
   if (is_dir) {
@@ -46,7 +47,7 @@ NodeId DirTree::add_file(NodeId parent, std::string name) {
 std::string DirTree::full_path(NodeId id) const {
   if (id == kRootNode) return "/";
   std::vector<const std::string*> parts;
-  for (NodeId cur = id; cur != kRootNode; cur = nodes_[cur].parent) {
+  for (NodeId cur = id; cur != kRootNode; cur = parent(cur)) {
     parts.push_back(&nodes_[cur].name);
   }
   std::string out;
@@ -59,12 +60,18 @@ std::string DirTree::full_path(NodeId id) const {
 
 std::vector<NodeId> DirTree::ancestors(NodeId id) const {
   std::vector<NodeId> chain;
-  chain.reserve(nodes_[id].depth + 1);
-  for (NodeId cur = id; cur != kInvalidNode; cur = nodes_[cur].parent) {
-    chain.push_back(cur);
-  }
-  std::reverse(chain.begin(), chain.end());
+  ancestors(id, chain);
   return chain;
+}
+
+void DirTree::ancestors(NodeId id, std::vector<NodeId>& chain) const {
+  // The chain is depth(id) + 1 long, so it fills from the back and needs
+  // no reversal.
+  chain.resize(depth(id) + 1);
+  std::size_t i = chain.size();
+  for (NodeId cur = id; cur != kInvalidNode; cur = parent(cur)) {
+    chain[--i] = cur;
+  }
 }
 
 void DirTree::finalize() {
@@ -72,8 +79,12 @@ void DirTree::finalize() {
   // single reverse sweep accumulates subtree sizes bottom-up.
   for (auto& n : nodes_) n.subtree_nodes = 1;
   for (std::size_t i = nodes_.size(); i-- > 1;) {
-    nodes_[nodes_[i].parent].subtree_nodes += nodes_[i].subtree_nodes;
+    nodes_[parent(static_cast<NodeId>(i))].subtree_nodes +=
+        nodes_[i].subtree_nodes;
   }
+  // The shape is final: release both arrays' growth slack.
+  nodes_.shrink_to_fit();
+  links_.shrink_to_fit();
 }
 
 void DirTree::visit_subtree(NodeId root_id,
@@ -91,9 +102,9 @@ void DirTree::visit_subtree(NodeId root_id,
 }
 
 bool DirTree::in_subtree(NodeId node_id, NodeId root_id) const {
-  for (NodeId cur = node_id; cur != kInvalidNode; cur = nodes_[cur].parent) {
+  for (NodeId cur = node_id; cur != kInvalidNode; cur = parent(cur)) {
     if (cur == root_id) return true;
-    if (nodes_[cur].depth < nodes_[root_id].depth) return false;
+    if (depth(cur) < depth(root_id)) return false;
   }
   return false;
 }
@@ -102,7 +113,7 @@ std::vector<NodeId> DirTree::directories() const {
   std::vector<NodeId> out;
   out.reserve(dir_count_);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].is_dir) out.push_back(static_cast<NodeId>(i));
+    if (links_[i].is_dir != 0) out.push_back(static_cast<NodeId>(i));
   }
   return out;
 }

@@ -23,8 +23,7 @@ bool is_path_component(std::string_view name) {
 PathResolver::PathResolver(const DirTree& tree) : tree_(&tree) {
   index_.reserve(tree.size());
   for (NodeId id = 1; id < tree.size(); ++id) {
-    const auto& n = tree.node(id);
-    index_.emplace(std::make_pair(n.parent, n.name), id);
+    index_.emplace(std::make_pair(tree.parent(id), tree.node(id).name), id);
   }
 }
 

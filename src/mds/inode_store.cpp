@@ -31,22 +31,23 @@ bool decode_inode(std::string_view data, fsns::InodeAttr& attr, bool& is_dir) {
 
 common::Status InodeStore::put(const fsns::DirTree& tree, fsns::NodeId node,
                                const fsns::InodeAttr& attr) {
-  const auto& n = tree.node(node);
-  const fsns::NodeId parent = node == fsns::kRootNode ? fsns::kRootNode : n.parent;
-  return db_.put(inode_key(parent, n.name), encode_inode(attr, n.is_dir));
+  const fsns::NodeId parent =
+      node == fsns::kRootNode ? fsns::kRootNode : tree.parent(node);
+  return db_.put(inode_key(parent, tree.node(node).name),
+                 encode_inode(attr, tree.is_dir(node)));
 }
 
 common::Status InodeStore::erase(const fsns::DirTree& tree, fsns::NodeId node) {
-  const auto& n = tree.node(node);
-  const fsns::NodeId parent = node == fsns::kRootNode ? fsns::kRootNode : n.parent;
-  return db_.del(inode_key(parent, n.name));
+  const fsns::NodeId parent =
+      node == fsns::kRootNode ? fsns::kRootNode : tree.parent(node);
+  return db_.del(inode_key(parent, tree.node(node).name));
 }
 
 bool InodeStore::lookup(const fsns::DirTree& tree, fsns::NodeId node,
                         fsns::InodeAttr* attr) const {
-  const auto& n = tree.node(node);
-  const fsns::NodeId parent = node == fsns::kRootNode ? fsns::kRootNode : n.parent;
-  auto result = db_.get(inode_key(parent, n.name));
+  const fsns::NodeId parent =
+      node == fsns::kRootNode ? fsns::kRootNode : tree.parent(node);
+  auto result = db_.get(inode_key(parent, tree.node(node).name));
   if (!result.is_ok()) return false;
   if (attr != nullptr) {
     bool is_dir = false;

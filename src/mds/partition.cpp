@@ -16,13 +16,12 @@ PartitionMap::PartitionMap(const fsns::DirTree& tree, std::uint32_t mds_count,
 }
 
 cost::MdsId PartitionMap::node_owner(fsns::NodeId node) const {
-  const auto& n = tree_->node(node);
-  if (n.is_dir) return owner_[node];
+  if (tree_->is_dir(node)) return owner_[node];
   if (hash_file_inodes_) {
     return static_cast<cost::MdsId>(common::mix64(node + 0x2545f491) %
                                     mds_count_);
   }
-  return owner_[n.parent];
+  return owner_[tree_->parent(node)];
 }
 
 std::uint64_t PartitionMap::node_weight(fsns::NodeId dir) const {

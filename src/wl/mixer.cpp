@@ -28,10 +28,11 @@ Trace interleave_traces(const std::vector<const Trace*>& traces,
     // Children always have larger ids than parents, so a single forward
     // sweep can copy the tree.
     for (fsns::NodeId id = 1; id < in.tree.size(); ++id) {
-      const auto& n = in.tree.node(id);
-      const fsns::NodeId new_parent = remap[t][n.parent];
-      remap[t][id] = n.is_dir ? out.tree.add_dir(new_parent, n.name)
-                              : out.tree.add_file(new_parent, n.name);
+      const std::string& node_name = in.tree.node(id).name;
+      const fsns::NodeId new_parent = remap[t][in.tree.parent(id)];
+      remap[t][id] = in.tree.is_dir(id)
+                         ? out.tree.add_dir(new_parent, node_name)
+                         : out.tree.add_file(new_parent, node_name);
     }
   }
   out.tree.finalize();

@@ -112,10 +112,10 @@ common::Status save_trace(const Trace& trace, const std::string& path) {
   write_pod(out, static_cast<std::uint64_t>(trace.tree.size()));
   // Node 0 is the implicit root; children arrays are rebuilt on load.
   for (std::size_t i = 1; i < trace.tree.size(); ++i) {
-    const auto& n = trace.tree.node(static_cast<fsns::NodeId>(i));
-    write_pod(out, n.parent);
-    write_pod(out, static_cast<std::uint8_t>(n.is_dir ? 1 : 0));
-    write_string(out, n.name);
+    const auto id = static_cast<fsns::NodeId>(i);
+    write_pod(out, trace.tree.parent(id));
+    write_pod(out, static_cast<std::uint8_t>(trace.tree.is_dir(id) ? 1 : 0));
+    write_string(out, trace.tree.node(id).name);
   }
 
   write_pod(out, static_cast<std::uint64_t>(trace.ops.size()));

@@ -2,6 +2,7 @@
 // epochs, determinism, static partitioners, data path.
 #include <gtest/gtest.h>
 
+#include "origami/cluster/plan.hpp"
 #include "origami/cluster/replay.hpp"
 #include "origami/common/flags.hpp"
 #include "origami/wl/generators.hpp"
@@ -27,6 +28,49 @@ ReplayOptions fast_options() {
   opt.warmup_epochs = 2;
   opt.net_params.jitter_frac = 0.0;  // exact determinism for tests
   return opt;
+}
+
+TEST(RequestPlanner, ReusedPlanEqualsAFreshPlanForEveryOp) {
+  // An in-flight slot's plan is planned over whatever the slot last held.
+  // Start every op from a readdir fan-out marked ns_cross with an op id,
+  // and the result must still equal a plan built into a fresh Plan. Two
+  // planners with caches of their own see the same op sequence, so their
+  // near-root cache outcomes agree.
+  const wl::Trace trace = tiny_trace();
+  mds::PartitionMap partition(trace.tree, 3);
+  StaticBalancer(StaticBalancer::Kind::kFineHash).prepare(trace.tree,
+                                                          partition);
+  const cost::CostParams params;
+  const cost::CostModel model(params);
+  mds::NearRootCache fresh_cache(trace.tree.size(), 3, true);
+  mds::NearRootCache reused_cache(trace.tree.size(), 3, true);
+  RequestPlanner fresh_planner(trace.tree, partition, fresh_cache, model,
+                               params);
+  RequestPlanner reused_planner(trace.tree, partition, reused_cache, model,
+                                params);
+
+  Plan dirty;
+  {
+    mds::NearRootCache cache(trace.tree.size(), 3, true);
+    RequestPlanner planner(trace.tree, partition, cache, model, params);
+    for (const wl::MetaOp& op : trace.ops) {
+      if (op.type != fsns::OpType::kReaddir) continue;
+      planner.build_plan(op, dirty);
+      if (dirty.lsdir_spread > 0) break;
+    }
+  }
+  ASSERT_GT(dirty.lsdir_spread, 0u);
+  dirty.ns_cross = true;
+  dirty.op_id = 99;
+
+  Plan reused;
+  for (std::size_t i = 0; i < trace.ops.size(); ++i) {
+    Plan fresh;
+    fresh_planner.build_plan(trace.ops[i], fresh);
+    reused = dirty;
+    reused_planner.build_plan(trace.ops[i], reused);
+    ASSERT_EQ(reused, fresh) << "op " << i;
+  }
 }
 
 TEST(Replay, CompletesAllOps) {

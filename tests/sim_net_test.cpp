@@ -1,6 +1,7 @@
 // Tests for the discrete-event engine and the network model.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "origami/net/network.hpp"
@@ -118,6 +119,98 @@ TEST(EventQueue, ClearDropsPending) {
   q.run();
   EXPECT_EQ(fired, 0);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, EqualTimesStayFifoAcrossRecycledSlots) {
+  // Freed slots are handed back last-freed first, so later events sit in
+  // lower slots than earlier ones: only (time, seq) may order them.
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 8; ++i) q.schedule_at(i, [] {});
+  q.run();
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      q.schedule_at(100 * (round + 1),
+                    [&order, round, i] { order.push_back(16 * round + i); });
+    }
+    q.run();
+  }
+  ASSERT_EQ(order.size(), 48u);
+  for (int i = 0; i < 48; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(EventQueue, HandlerMayGrowTheSlabWhileItRuns) {
+  // The running handler must not live in the slab it grows: its captures
+  // are small enough to sit inside the std::function, and it reads them
+  // after the slab has reallocated.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(10, [&q, &order] {
+    for (int i = 0; i < 1000; ++i) {
+      q.schedule_at(20, [&order, i] { order.push_back(i); });
+    }
+    order.push_back(-1);
+    q.schedule_at(15, [&order] { order.push_back(-2); });
+  });
+  q.run();
+  ASSERT_EQ(order.size(), 1002u);
+  EXPECT_EQ(order[0], -1);
+  EXPECT_EQ(order[1], -2);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i) + 2], i);
+  }
+  EXPECT_EQ(q.processed(), 1002u);
+  EXPECT_EQ(q.now(), 20);
+}
+
+TEST(EventQueue, ClearReleasesCallablesAndSlotsAreReused) {
+  EventQueue q;
+  auto held = std::make_shared<int>(0);
+  q.schedule_at(5, [held] {});
+  q.run_until(7);
+  EXPECT_EQ(held.use_count(), 1);  // ran, then released with its slot
+  q.schedule_at(8, [held] {});
+  q.clear();
+  EXPECT_EQ(held.use_count(), 1);  // dropped and released
+  EXPECT_TRUE(q.empty());
+
+  // After a clear, new events take the recycled slots in time order.
+  std::vector<int> fired;
+  q.schedule_at(40, [&] { fired.push_back(2); });
+  q.schedule_at(35, [&] { fired.push_back(1); });
+  q.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+
+  // A handler may clear the queue under itself and schedule again.
+  q.schedule_at(50, [&] {
+    fired.push_back(3);
+    q.clear();
+    q.schedule_at(50, [&] { fired.push_back(4); });
+  });
+  q.schedule_at(60, [&] { fired.push_back(-1); });
+  q.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(q.now(), 50);
+}
+
+TEST(EventQueue, RunUntilLeavesLaterEventsInPlace) {
+  EventQueue q;
+  std::vector<SimTime> seen;
+  for (const SimTime t : {40, 10, 30, 20}) {
+    q.schedule_at(t, [&] { seen.push_back(q.now()); });
+  }
+  q.run_until(25);
+  EXPECT_EQ(seen, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(q.now(), 25);
+  EXPECT_EQ(q.processed(), 2u);
+  // New events take the freed slots and interleave with the waiting ones.
+  q.schedule_at(35, [&] { seen.push_back(q.now()); });
+  q.schedule_at(0, [&] { seen.push_back(q.now()); });  // clamped to 25
+  q.run_until(30);
+  EXPECT_EQ(seen, (std::vector<SimTime>{10, 20, 25, 30}));
+  q.run();
+  EXPECT_EQ(seen, (std::vector<SimTime>{10, 20, 25, 30, 35, 40}));
+  EXPECT_EQ(q.processed(), 6u);
 }
 
 TEST(EventQueue, ScheduleAfterIsRelative) {

@@ -163,7 +163,8 @@ TEST(TraceIo, SaveLoadRoundtrip) {
   ASSERT_EQ(t.ops.size(), original.ops.size());
   for (std::size_t i = 0; i < t.tree.size(); ++i) {
     const auto id = static_cast<fsns::NodeId>(i);
-    EXPECT_EQ(t.tree.node(id).parent, original.tree.node(id).parent);
+    EXPECT_EQ(t.tree.parent(id), original.tree.parent(id));
+    EXPECT_EQ(t.tree.depth(id), original.tree.depth(id));
     EXPECT_EQ(t.tree.node(id).name, original.tree.node(id).name);
     EXPECT_EQ(t.tree.is_dir(id), original.tree.is_dir(id));
   }
@@ -276,6 +277,17 @@ TEST(TraceMixer, GraftsNamespacesAndPreservesOps) {
     if (path.rfind("/mix0/", 0) == 0) ++from_a;
   }
   EXPECT_EQ(from_a, a.ops.size());
+  // Each input node is copied right after its graft point: it keeps its
+  // kind, sits one level deeper and hangs under its own parent's copy.
+  const auto expect_grafted = [&mixed](const Trace& in, fsns::NodeId graft) {
+    for (fsns::NodeId id = 1; id < in.tree.size(); ++id) {
+      EXPECT_EQ(mixed.tree.is_dir(graft + id), in.tree.is_dir(id));
+      EXPECT_EQ(mixed.tree.depth(graft + id), in.tree.depth(id) + 1);
+      EXPECT_EQ(mixed.tree.parent(graft + id), graft + in.tree.parent(id));
+    }
+  };
+  expect_grafted(a, 1);
+  expect_grafted(b, static_cast<fsns::NodeId>(a.tree.size() + 1));
   // Per-stream op order is preserved.
   std::vector<fsns::OpType> a_types;
   for (const MetaOp& op : mixed.ops) {
@@ -462,6 +474,21 @@ TEST(TraceFamilies, MakeTraceNamesEveryFamily) {
   ASSERT_FALSE(unknown.is_ok());
   EXPECT_EQ(unknown.status().code(), common::StatusCode::kInvalidArgument);
   EXPECT_NE(unknown.status().to_string().find("bogus"), std::string::npos);
+}
+
+TEST(TraceFamilies, AncestorBufferMatchesTheVectorForm) {
+  // One buffer serves every node of every family, so a chain shorter than
+  // the one before it must not keep the longer chain's tail.
+  std::vector<fsns::NodeId> chain;
+  for (const std::string_view family : kTraceFamilies) {
+    auto made = make_trace(family, 1, 2'000);
+    ASSERT_TRUE(made.is_ok()) << family;
+    const fsns::DirTree& tree = made.value().tree;
+    for (fsns::NodeId id = 0; id < tree.size(); ++id) {
+      tree.ancestors(id, chain);
+      ASSERT_EQ(chain, tree.ancestors(id)) << family << ' ' << id;
+    }
+  }
 }
 
 // ------------------------------------------------ timed trace (de)serialise --
@@ -718,7 +745,8 @@ TEST(TraceIo, EveryGeneratorFamilyRoundTrips) {
     for (std::size_t i = 0; i < t.tree.size(); ++i) {
       const auto id = static_cast<fsns::NodeId>(i);
       ASSERT_EQ(t.tree.node(id).name, original.tree.node(id).name);
-      ASSERT_EQ(t.tree.node(id).parent, original.tree.node(id).parent);
+      ASSERT_EQ(t.tree.parent(id), original.tree.parent(id));
+      ASSERT_EQ(t.tree.depth(id), original.tree.depth(id));
       ASSERT_EQ(t.tree.is_dir(id), original.tree.is_dir(id));
       ASSERT_EQ(resolver.resolve(t.tree.full_path(id)), id)
           << original.name << ' ' << t.tree.full_path(id);
