@@ -16,9 +16,10 @@
 //
 // Outputs: fig14_saturation.csv and a JSON report of the same rows (--out,
 // default BENCH_saturation.json). --smoke shrinks the clients axis for CI.
-// The shared knobs (--fault-*, --retry-*, --commit-*) are checked by
-// cluster::options_from_flags as in every bench: a malformed value prints
-// usage and exits 2.
+// Every sweep sets its own fault plan, retry budget and commit mode, and
+// the clients are a closed loop, so the shared flags (--fault-*, --retry-*,
+// --commit-*, --arrival*, --trace-*) would change nothing: any of them
+// exits 2 with usage rather than label a run it did not shape.
 
 #include <chrono>
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "origami/cluster/options.hpp"
 #include "origami/common/csv.hpp"
 #include "origami/common/flags.hpp"
 #include "origami/fs/live_replay.hpp"
@@ -85,12 +87,18 @@ fs::LiveReplayOptions faulted_options() {
 int main(int argc, char** argv) {
   std::printf("=== Fig. 14 — live serving-plane saturation ===\n\n");
   const common::Flags raw(argc, argv);
+  for (const std::string& name : raw.names()) {
+    if (cluster::is_shared_flag(name)) {
+      std::fprintf(stderr,
+                   "error: --%s is not accepted: every sweep here sets its "
+                   "own fault plan and closed loop\n"
+                   "usage: fig14_saturation [--smoke] [--out PATH]\n",
+                   name.c_str());
+      return 2;
+    }
+  }
   const bool smoke = raw.get_bool("smoke", false);
   const std::string out_path = raw.get("out", "BENCH_saturation.json");
-  // Shared vocabulary with strict validation: a malformed knob exits 2
-  // before any numbers are produced. The live options below are this
-  // figure's own.
-  (void)bench::options_from_argv(argc, argv, bench::paper_options());
 
   const std::uint64_t ops = smoke ? 20'000 : 80'000;
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());

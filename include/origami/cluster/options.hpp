@@ -116,4 +116,8 @@ common::Result<std::vector<fault::FaultWindow>> parse_crash_schedule(
 common::Result<ReplayOptions> options_from_flags(const common::Flags& flags,
                                                  ReplayOptions base = {});
 
+/// Whether a flag name (without dashes) is in the prefixed vocabulary
+/// `options_from_flags` owns: fault-*, retry-*, commit-*, arrival*, trace-*.
+[[nodiscard]] bool is_shared_flag(const std::string& name);
+
 }  // namespace origami::cluster

@@ -76,19 +76,19 @@ constexpr const char* kOwnedFlags[] = {
     "trace-speed",
 };
 
-bool owned_prefix(const std::string& name) {
+}  // namespace
+
+bool is_shared_flag(const std::string& name) {
   return name.rfind("fault-", 0) == 0 || name.rfind("retry-", 0) == 0 ||
          name.rfind("commit-", 0) == 0 || name.rfind("arrival", 0) == 0 ||
          name.rfind("trace-", 0) == 0;
 }
 
-}  // namespace
-
 common::Result<ReplayOptions> options_from_flags(const common::Flags& flags,
                                                  ReplayOptions base) {
   std::string unknown;
   for (const std::string& name : flags.names()) {
-    if (!owned_prefix(name)) continue;
+    if (!is_shared_flag(name)) continue;
     bool known = false;
     for (const char* owned : kOwnedFlags) {
       if (name == owned) {

@@ -1,10 +1,12 @@
 #include "origami/policy/registry.hpp"
 
 #include <sstream>
+#include <variant>
 
 #include "origami/core/balancers.hpp"
 #include "origami/policy/baselines.hpp"
 #include "origami/policy/live.hpp"
+#include "origami/sim/time.hpp"
 
 namespace origami::policy {
 
@@ -60,6 +62,41 @@ std::vector<common::ParamDecl> with_trigger(
   all[0].default_value = threshold;
   all.insert(all.end(), extra.begin(), extra.end());
   return all;
+}
+
+/// A `*-ms` or `*-us` parameter is a duration the factories convert to
+/// SimTime nanoseconds, so, as bursty's `period-ms`, it must name a
+/// nanosecond count the clock holds: `sim::millis(1e300)` has no value.
+common::Status check_durations(const common::SpecValues& values) {
+  for (const auto& [key, value] : values.values) {
+    const double* v = std::get_if<double>(&value);
+    if (v == nullptr) continue;
+    double unit = 0.0;
+    if (key.ends_with("-ms")) {
+      unit = static_cast<double>(sim::kMillisecond);
+    } else if (key.ends_with("-us")) {
+      unit = static_cast<double>(sim::kMicrosecond);
+    } else {
+      continue;
+    }
+    // [-2^63, 2^63) holds exactly the doubles whose truncation fits.
+    const double ns = *v * unit;
+    if (!(ns >= -0x1p63 && ns < 0x1p63)) {
+      return common::Status::invalid_argument(
+          "parameter '" + key +
+          "' must be a duration the simulator clock holds (under 2^63 ns)");
+    }
+  }
+  return common::Status::ok();
+}
+
+/// `common::check_entry` for a policy spec, plus the duration range.
+common::Result<std::pair<const Entry*, common::SpecValues>> check_policy(
+    const std::vector<Entry>& entries, const std::string& spec) {
+  auto checked = common::check_entry(entries, spec, "policy");
+  if (!checked.is_ok()) return checked;
+  if (auto s = check_durations(checked.value().second); !s.is_ok()) return s;
+  return checked;
 }
 
 template <typename T>
@@ -365,12 +402,12 @@ const Entry* Registry::find(const std::string& name) const {
 }
 
 common::Status Registry::validate(const std::string& spec) const {
-  return common::check_entry(entries_, spec, "policy").status();
+  return check_policy(entries_, spec).status();
 }
 
 common::Result<std::unique_ptr<cluster::Balancer>> Registry::make(
     const std::string& spec, const PolicyContext& ctx) const {
-  auto checked = common::check_entry(entries_, spec, "policy");
+  auto checked = check_policy(entries_, spec);
   if (!checked.is_ok()) return checked.status();
   const auto& [entry, values] = checked.value();
   return entry->make(values, ctx);
@@ -378,7 +415,7 @@ common::Result<std::unique_ptr<cluster::Balancer>> Registry::make(
 
 common::Result<std::unique_ptr<LivePolicy>> Registry::make_live(
     const std::string& spec, const PolicyContext& ctx) const {
-  auto checked = common::check_entry(entries_, spec, "policy");
+  auto checked = check_policy(entries_, spec);
   if (!checked.is_ok()) return checked.status();
   const auto& [entry, values] = checked.value();
   if (!entry->make_live) {

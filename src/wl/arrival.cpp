@@ -387,7 +387,20 @@ const ArrivalRegistry& ArrivalRegistry::builtin() {
                 return s;
               if (auto s = positive_double(p, "spike-mult", 8.0); !s.is_ok())
                 return s;
-              return duration_ms(p, "spike-ms", 50.0);
+              if (auto s = duration_ms(p, "spike-ms", 50.0); !s.is_ok())
+                return s;
+              // The rate the sampler thins against: an infinite one never
+              // accepts a draw.
+              const double peak =
+                  p.get_double("rate", 50'000.0) *
+                  (1.0 + p.get_double("amp", 0.5)) *
+                  std::max(1.0, p.get_double("spike-mult", 8.0));
+              if (!std::isfinite(peak)) {
+                return common::Status::invalid_argument(
+                    "the peak rate, rate x (1 + amp) x max(1, spike-mult), "
+                    "must be finite");
+              }
+              return common::Status::ok();
             },
             [](const common::SpecValues& p, const ArrivalContext&)
                 -> common::Result<std::unique_ptr<ArrivalPolicy>> {

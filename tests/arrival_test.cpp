@@ -153,7 +153,8 @@ TEST(ArrivalRegistry, RejectsOutOfRangeValues) {
         "tenant:burst=0", "bursty:seed=abc", "bursty:seed=-1",
         "bursty:seed=", "tenant:tenants=abc", "tenant:tenants=2.5",
         "tenant:tenants=65537", "bursty:period-ms=0.0000001",
-        "bursty:spike-ms=1e300", "open:rate=1,rate=2"}) {
+        "bursty:spike-ms=1e300", "open:rate=1,rate=2",
+        "bursty:rate=1e300,spike-mult=1e300", "bursty:rate=1e308,amp=1"}) {
     EXPECT_FALSE(reg.validate(bad).is_ok())
         << "accepted out-of-range spec '" << bad << "'";
   }
@@ -161,7 +162,8 @@ TEST(ArrivalRegistry, RejectsOutOfRangeValues) {
        {"closed", "open", "open:rate=1", "paced:rate=250000",
         "trace:speed=0.5", "bursty:spike-prob=0", "bursty:amp=1",
         "tenant:tenants=3,rate=100,burst=1", "tenant:tenants=65536",
-        "bursty:seed=9223372036854775807,period-ms=0.00001"}) {
+        "bursty:seed=9223372036854775807,period-ms=0.00001",
+        "bursty:rate=1e300"}) {
     EXPECT_TRUE(reg.validate(good).is_ok())
         << "rejected valid spec '" << good << "': "
         << reg.validate(good).to_string();

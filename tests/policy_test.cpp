@@ -150,6 +150,29 @@ TEST(PolicyRegistry, RejectsValuesThatAreNotFiniteNumbers) {
   EXPECT_TRUE(r.validate("greedy-spill:budget=9223372036854775807").is_ok());
 }
 
+TEST(PolicyRegistry, RejectsDurationsTheClockCannotHold) {
+  // A *-ms or *-us value becomes SimTime nanoseconds in the factory:
+  // delta-ms=1e300 used to convert out of range and run.
+  const Registry& r = Registry::builtin();
+  for (const char* spec :
+       {"meta-opt:delta-ms=1e300", "meta-opt:stop-us=1e300",
+        "origami:delta-ms=1e300", "origami:delta-ms=-1e300",
+        "origami:delta-ms=9223372036855", "meta-opt:stop-us=1e16"}) {
+    const auto s = r.validate(spec);
+    ASSERT_FALSE(s.is_ok()) << spec;
+    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument) << spec;
+    EXPECT_NE(s.to_string().find("simulator clock"), std::string::npos)
+        << spec << ": " << s.to_string();
+    EXPECT_FALSE(r.make(spec, {}).is_ok()) << spec;
+  }
+  EXPECT_FALSE(r.make_live("origami:delta-ms=1e300", {}).is_ok());
+  for (const char* spec : {"origami:delta-ms=9223372036854",
+                           "meta-opt:stop-us=9e15", "meta-opt:delta-ms=0"}) {
+    EXPECT_TRUE(r.validate(spec).is_ok())
+        << spec << ": " << r.validate(spec).to_string();
+  }
+}
+
 TEST(PolicyRegistry, EveryEntryValidatesBareAndWithDeclaredParams) {
   const Registry& r = Registry::builtin();
   EXPECT_GE(r.entries().size(), 10u);

@@ -175,7 +175,8 @@ echo "unknown flags rejected with usage and exit 2"
 #       fall back to a default policy.
 echo "=== [chaos] --policy rejection ==="
 for spec in bogus origami:bogus=1 greedy-spill:budget=abc \
-    greedy-spill:budget=1e3 greedy-spill:budget=-3; do
+    greedy-spill:budget=1e3 greedy-spill:budget=-3 \
+    meta-opt:delta-ms=1e300 meta-opt:stop-us=1e300; do
   rc_spec=0
   timeout 60 "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
     --policy "${spec}" >/dev/null 2>&1 || rc_spec=$?
@@ -190,7 +191,7 @@ echo "unknown policy name, parameter and value rejected with exit 2"
 #       never silently fall back to the closed loop.
 echo "=== [chaos] --arrival rejection ==="
 for spec in bogus open:bogus=1 open:rate=-5 trace bursty:seed=abc \
-    tenant:tenants=2.5; do
+    tenant:tenants=2.5 bursty:rate=1e300,spike-mult=1e300; do
   rc_spec=0
   timeout 60 "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
     --trace rw --arrival "${spec}" >/dev/null 2>&1 || rc_spec=$?
@@ -224,6 +225,17 @@ for args in "--trace rw --ops=1e3" "--trace rw --ops=abc" \
     { echo "trace_tool gen ${args} exited ${rc_gen}, want 2"; exit 1; }
 done
 rm -rf "${GEN_DIR}"
+# A usage error is exit 2 too: no command, an unknown command, a command
+# without its PATH. --help is not an error.
+for args in "" bogus info head export import; do
+  rc_use=0
+  # shellcheck disable=SC2086  # an empty case passes no argument
+  "${BUILD_ROOT}/sanitize/tools/trace_tool" ${args} >/dev/null 2>&1 ||
+    rc_use=$?
+  [[ "${rc_use}" -eq 2 ]] ||
+    { echo "trace_tool '${args}' exited ${rc_use}, want 2"; exit 1; }
+done
+"${BUILD_ROOT}/sanitize/tools/trace_tool" --help >/dev/null
 echo "malformed flag values rejected with usage and exit 2"
 
 # 3c-t. Trace file guard: trace files are outside input. One whose node
@@ -300,6 +312,16 @@ echo "=== [release] fig13_policy_faceoff smoke ==="
 echo "=== [release] fig14_saturation smoke ==="
 (cd "${BUILD_ROOT}/release" && \
   ./bench/fig14_saturation --smoke --out BENCH_saturation.json)
+# fig14's sweeps set their own fault plans: a shared fault, retry or commit
+# flag would be dropped, so it must exit 2 instead.
+for flag in --fault-crash-prob=0.5 --retry-max=0 --commit-mode=async; do
+  rc_flag=0
+  (cd "${BUILD_ROOT}/release" && \
+    ./bench/fig14_saturation --smoke "${flag}" >/dev/null 2>&1) || rc_flag=$?
+  [[ "${rc_flag}" -eq 2 ]] ||
+    { echo "fig14_saturation ${flag} exited ${rc_flag}, want 2"; exit 1; }
+done
+echo "fig14 refuses the shared fault flags with exit 2"
 
 # 3d''''. Workload-family bench smoke from the release build: every
 #         registered policy over the timed falcon/midas families under

@@ -3,6 +3,10 @@
 //   trace_tool gen --trace wi --ops 500000 --seed 7 --out wi.trace
 //   trace_tool info wi.trace
 //   trace_tool head wi.trace --n 20
+//
+// Exit codes: 0 on success and for --help; 1 when a trace file cannot be
+// read or written; 2 with usage on stderr for a usage error (no command,
+// an unknown command, a missing PATH, a bad flag value or family).
 
 #include <cstdio>
 #include <fstream>
@@ -148,11 +152,11 @@ int cmd_import(const std::string& path, const common::Flags& flags) {
 int main(int argc, char** argv) {
   const common::Flags flags(argc, argv);
   const auto& pos = flags.positional();
-  if (pos.empty() || flags.has("help")) {
+  if (flags.has("help")) {
     std::fputs(kUsage, stdout);
-    return pos.empty() ? 1 : 0;
+    return 0;
   }
-  const std::string& cmd = pos[0];
+  const std::string cmd = pos.empty() ? std::string() : pos[0];
   if (cmd == "gen") return cmd_gen(flags);
   if (cmd == "info" && pos.size() > 1) return cmd_info(pos[1]);
   if (cmd == "head" && pos.size() > 1) {
@@ -163,6 +167,7 @@ int main(int argc, char** argv) {
   }
   if (cmd == "export" && pos.size() > 1) return cmd_export(pos[1], flags);
   if (cmd == "import" && pos.size() > 1) return cmd_import(pos[1], flags);
+  // No command, an unknown one, or one without its PATH.
   std::fputs(kUsage, stderr);
-  return 1;
+  return 2;
 }
