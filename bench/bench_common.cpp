@@ -5,29 +5,22 @@
 
 #include "origami/cluster/options.hpp"
 #include "origami/common/flags.hpp"
+#include "origami/common/spec.hpp"
+#include "origami/fault/fault.hpp"
 #include "origami/policy/registry.hpp"
 
 namespace origami::bench {
 
 wl::Trace standard_rw(std::uint64_t seed, std::uint64_t ops) {
-  wl::TraceRwConfig cfg;
-  cfg.seed = seed;
-  cfg.ops = ops;
-  return wl::make_trace_rw(cfg);
+  return wl::make_trace("rw", seed, ops).value();
 }
 
 wl::Trace standard_ro(std::uint64_t seed, std::uint64_t ops) {
-  wl::TraceRoConfig cfg;
-  cfg.seed = seed;
-  cfg.ops = ops;
-  return wl::make_trace_ro(cfg);
+  return wl::make_trace("ro", seed, ops).value();
 }
 
 wl::Trace standard_wi(std::uint64_t seed, std::uint64_t ops) {
-  wl::TraceWiConfig cfg;
-  cfg.seed = seed;
-  cfg.ops = ops;
-  return wl::make_trace_wi(cfg);
+  return wl::make_trace("wi", seed, ops).value();
 }
 
 cluster::ReplayOptions paper_options() {
@@ -60,9 +53,7 @@ cluster::ReplayOptions options_from_argv(int argc, const char* const* argv,
   return std::move(parsed).value();
 }
 
-core::TrainedModels train_for(const wl::Trace& training_trace,
-                              const cluster::ReplayOptions& options,
-                              int gbdt_rounds) {
+core::LabelGenOptions label_options(const cluster::ReplayOptions& options) {
   core::LabelGenOptions lg;
   lg.replay = options;
   lg.meta_opt.min_subtree_ops = 8;
@@ -70,28 +61,52 @@ core::TrainedModels train_for(const wl::Trace& training_trace,
   lg.meta_opt.cache_enabled = options.cache_enabled;
   lg.meta_opt.cache_depth = options.cache_depth;
   lg.min_feature_ops = 4;
+  return lg;
+}
+
+core::TrainedModels train_for(const wl::Trace& training_trace,
+                              const cluster::ReplayOptions& options,
+                              int gbdt_rounds) {
   ml::GbdtParams gbdt;
   gbdt.rounds = gbdt_rounds;
   gbdt.early_stopping_rounds = 30;
-  return core::train_from_trace(training_trace, lg, gbdt);
+  return core::train_from_trace(training_trace, label_options(options), gbdt);
+}
+
+cluster::ReplayOptions with_crashes(cluster::ReplayOptions opt,
+                                   double crash_prob) {
+  fault::FaultPlan& plan = opt.faults;
+  plan.seed = 2027;
+  plan.crash_prob = crash_prob;
+  plan.crash_recovery = sim::millis(400);
+  plan.rpc_loss_prob = 0.0005;
+  opt.retry.max_retries = 5;
+  opt.retry.timeout = sim::millis(2);
+  return opt;
 }
 
 cluster::RunResult run_policy(const std::string& spec, const wl::Trace& trace,
                               const cluster::ReplayOptions& options,
                               const core::TrainedModels* models) {
+  const policy::Registry& registry = policy::Registry::builtin();
+  cluster::ReplayOptions opt = options;
+  if (const auto parsed = common::parse_spec(spec); parsed.is_ok()) {
+    const policy::Entry* entry = registry.find(parsed.value().name);
+    if (entry != nullptr && entry->single_mds) opt.mds_count = 1;
+  }
   policy::PolicyContext ctx;
-  ctx.options = &options;
+  ctx.options = &opt;
   if (models != nullptr) {
     ctx.benefit_model = models->benefit;
     ctx.popularity_model = models->popularity;
   }
-  auto made = policy::Registry::builtin().make(spec, ctx);
+  auto made = registry.make(spec, ctx);
   if (!made.is_ok()) {
     std::fprintf(stderr, "error: %s\n", made.status().to_string().c_str());
     std::exit(2);
   }
   const std::unique_ptr<cluster::Balancer> balancer = std::move(made).value();
-  return cluster::replay_trace(trace, options, *balancer);
+  return cluster::replay_trace(trace, opt, *balancer);
 }
 
 cluster::RunResult run_latency_probe(const wl::Trace& trace,

@@ -1,8 +1,9 @@
 #pragma once
 
-// Shared harness code for the figure/table reproduction benches. Each
-// bench binary regenerates one table or figure of the Origami paper
-// (see DESIGN.md's experiment index) and writes a CSV next to stdout.
+// Shared harness code for the bench binaries: `experiments`, whose presets
+// regenerate the Origami paper's tables and figures, ablations and
+// appendices (see DESIGN.md's experiment index), fig12-15 and
+// bench_pipeline. Each writes its CSVs next to stdout.
 
 #include <memory>
 #include <string>
@@ -19,8 +20,7 @@
 namespace origami::bench {
 
 /// The five §5.1 strategies as registry policy specs (for `run_policy`),
-/// with the low-op-count thresholds the small bench traces need. Callers
-/// run "single" on 1 MDS themselves.
+/// with the low-op-count thresholds the small bench traces need.
 inline constexpr const char* kPaperPolicies[] = {
     "single", "c-hash", "f-hash", "ml-tree:min-ops=8", "origami"};
 
@@ -36,11 +36,22 @@ cluster::ReplayOptions paper_options();
 
 /// Applies the shared CLI vocabulary (--mds, --clients, --epoch-ms, every
 /// --fault-* / --retry-* knob; see cluster::options_from_flags) on top of
-/// `base`, so bench binaries accept the same flags as origami_sim. Flags
-/// that are absent leave `base` untouched — run a bench with no arguments
-/// and it reproduces the paper preset exactly.
+/// `base`, so fig12, fig13 and fig15 accept the same flags as origami_sim.
+/// Flags that are absent leave `base` untouched — run a bench with no
+/// arguments and it reproduces its preset exactly.
 cluster::ReplayOptions options_from_argv(int argc, const char* const* argv,
                                          cluster::ReplayOptions base);
+
+/// The label-generation recipe `train_for` uses: Meta-OPT with the small
+/// traces' thresholds, costing resolution as `options` caches it.
+core::LabelGenOptions label_options(const cluster::ReplayOptions& options);
+
+/// The crash plan of Figs. 11-13 and 15: fault seed 2027, per-MDS
+/// per-epoch `crash_prob` with 400 ms outages, five retries at a 2 ms
+/// timeout, and light RPC loss, which keeps the retry path and the journal
+/// armed even at crash probability 0.
+cluster::ReplayOptions with_crashes(cluster::ReplayOptions opt,
+                                   double crash_prob);
 
 /// Label-gen + GBDT training against a training run of the given trace
 /// (always a different seed than the evaluation trace).
@@ -50,8 +61,10 @@ core::TrainedModels train_for(const wl::Trace& training_trace,
 
 /// Registry-backed runner: resolves a `name[:k=v,...]` policy spec against
 /// `policy::Registry::builtin()` and replays `trace` with it, consuming
-/// `models` for ml-tree/origami (may be null for the others). Exits 2 on
-/// an invalid spec (same strictness as the CLIs).
+/// `models` for ml-tree/origami (may be null for the others). A policy
+/// registered as the 1-MDS baseline (`single`) runs on one MDS, as the
+/// registry sweep runs it. Exits 2 on an invalid spec (same strictness as
+/// the CLIs).
 cluster::RunResult run_policy(const std::string& spec, const wl::Trace& trace,
                               const cluster::ReplayOptions& options,
                               const core::TrainedModels* models);

@@ -18,7 +18,11 @@
 //
 // Outputs: fig12_async_commit.csv (one row per grid cell) and a JSON
 // report of the same rows (--out, default BENCH_async_commit.json).
-// --smoke shrinks the trace for CI.
+// --smoke shrinks the trace for CI. Every cell sets its own fault plan,
+// retry budget and commit mode over a closed-loop replay of its own trace,
+// so the shared prefixed flags (--fault-*, --retry-*, --commit-*,
+// --arrival*, --trace-*) would be dropped or would relabel the grid: any
+// of them exits 2 with usage.
 
 #include <cstdio>
 #include <filesystem>
@@ -26,9 +30,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "table.hpp"
+#include "origami/cluster/options.hpp"
 #include "origami/common/csv.hpp"
 #include "origami/common/flags.hpp"
-#include "origami/fault/fault.hpp"
 #include "origami/recovery/invariants.hpp"
 
 using namespace origami;
@@ -52,14 +57,7 @@ constexpr double kCrashRates[] = {0.0, 0.05, 0.10};
 cluster::ReplayOptions options_for(const cluster::ReplayOptions& base,
                                    const CommitConfig& cfg, double rate,
                                    const std::string& kv_wal_dir) {
-  cluster::ReplayOptions opt = base;
-  fault::FaultPlan& plan = opt.faults;
-  plan.seed = 2027;
-  plan.crash_prob = rate;
-  plan.crash_recovery = sim::millis(400);
-  plan.rpc_loss_prob = 0.0005;  // keeps journaling armed at crash rate 0
-  opt.retry.max_retries = 5;
-  opt.retry.timeout = sim::millis(2);
+  cluster::ReplayOptions opt = bench::with_crashes(base, rate);
   // The default t_fsync (2us) models a group-commit *share* and would bury
   // the sync-vs-async contrast in epoch quantization noise; this figure is
   // about that contrast, so it prices the full device flush a sync commit
@@ -86,6 +84,19 @@ struct Cell {
 int main(int argc, char** argv) {
   std::printf("=== Fig. 12 — async commit vs durability window ===\n\n");
   const common::Flags raw(argc, argv);
+  for (const std::string& name : raw.names()) {
+    if (cluster::is_shared_flag(name)) {
+      std::fprintf(stderr,
+                   "error: --%s is not accepted: every grid cell sets its "
+                   "own fault plan, retries and commit mode over a "
+                   "closed-loop replay of its own trace\n"
+                   "usage: fig12_async_commit [--smoke] [--out PATH] "
+                   "[--kv-backing [--kv-wal-dir DIR] [--kv-out PATH]] "
+                   "[--mds N, --clients N, ...]\n",
+                   name.c_str());
+      return 2;
+    }
+  }
   const bool smoke = raw.get_bool("smoke", false);
   const std::string out_path = raw.get("out", "BENCH_async_commit.json");
   const std::uint64_t ops = smoke ? 40'000 : 150'000;
@@ -110,13 +121,15 @@ int main(int argc, char** argv) {
       bench::options_from_argv(argc, argv, bench::paper_options());
   base.kv_backing = base.kv_backing || kv_backing;
 
-  common::CsvWriter csv = bench::open_csv("fig12", "async_commit");
-  csv.header({"mode", "commit_window_ms", "commit_batch", "crash_prob",
-              "steady_throughput_ops", "throughput_ops", "mean_latency_us",
-              "p99_latency_us", "group_commits", "journal_records",
-              "acked_lost_ops", "acked_lost_records", "unacked_lost_records",
-              "max_commit_lag_ms", "crashes", "journal_replays",
-              "invariants_ok"});
+  bench::Table t("fig12", "async_commit",
+                 {{"mode", 0, 5}, {"commit_window_ms", 2}, {"commit_batch"},
+                  {"crash_prob", 2}, {"steady_throughput_ops", 0},
+                  {"throughput_ops", 0}, {"mean_latency_us", 1},
+                  {"p99_latency_us", 1}, {"group_commits"},
+                  {"journal_records"}, {"acked_lost_ops"},
+                  {"acked_lost_records"}, {"unacked_lost_records"},
+                  {"max_commit_lag_ms", 3}, {"crashes"}, {"journal_replays"},
+                  {"invariants_ok"}});
   // Measured-vs-modeled: the DES prices every sync commit at t_fsync
   // (100us in this figure) while the real store *measures* each group
   // commit's fsync on the WAL files under --kv-wal-dir.
@@ -153,34 +166,12 @@ int main(int argc, char** argv) {
         audit_acked_lost = audit.acked_lost;
       }
 
-      std::printf("%-5s w=%4.2fms crash p=%.2f  %9.0f ops/s  "
-                  "p99 %9.1fus  %4lu gc  %2lu crashes  lost %lu acked "
-                  "(%lu records) + %lu unacked  lag %6.3fms\n",
-                  cfg.mode, cfg.window_ms, rate, r.steady_throughput_ops,
-                  r.p99_latency_us, static_cast<unsigned long>(f.group_commits),
-                  static_cast<unsigned long>(f.crashes),
-                  static_cast<unsigned long>(audit_acked_lost),
-                  static_cast<unsigned long>(f.acked_lost_ops),
-                  static_cast<unsigned long>(f.unacked_lost_ops),
-                  sim::to_seconds(f.max_commit_lag) * 1e3);
-      csv.field(cfg.mode)
-          .field(cfg.window_ms)
-          .field(std::uint64_t{async ? kAsyncBatch : 0u})
-          .field(rate)
-          .field(r.steady_throughput_ops)
-          .field(r.throughput_ops)
-          .field(r.mean_latency_us)
-          .field(r.p99_latency_us)
-          .field(f.group_commits)
-          .field(f.journal_records)
-          .field(audit_acked_lost)
-          .field(f.acked_lost_ops)
-          .field(f.unacked_lost_ops)
-          .field(sim::to_seconds(f.max_commit_lag) * 1e3)
-          .field(f.crashes)
-          .field(f.journal_replays)
-          .field(std::uint64_t{ok ? 1u : 0u});
-      csv.endrow();
+      t.row({cfg.mode, cfg.window_ms, std::uint64_t{async ? kAsyncBatch : 0u},
+             rate, r.steady_throughput_ops, r.throughput_ops,
+             r.mean_latency_us, r.p99_latency_us, f.group_commits,
+             f.journal_records, audit_acked_lost, f.acked_lost_ops,
+             f.unacked_lost_ops, sim::to_seconds(f.max_commit_lag) * 1e3,
+             f.crashes, f.journal_replays, std::uint64_t{ok ? 1u : 0u}});
       if (kv_backing) {
         const kv::DbStats& kv = r.kv_stats;
         kv_rows.field(cfg.mode)
@@ -202,7 +193,6 @@ int main(int argc, char** argv) {
       }
       cells.push_back({cfg, rate, r.steady_throughput_ops});
     }
-    std::printf("\n");
   }
 
   // The durability window buys throughput: within each crash rate the
@@ -235,7 +225,7 @@ int main(int argc, char** argv) {
                       {{"ops", ops},
                        {"smoke", smoke},
                        {"commit_batch", kAsyncBatch}},
-                      csv);
+                      t.csv());
   if (kv_backing) {
     bench::write_report(kv_out, "kv_commit",
                         {{"ops", ops},

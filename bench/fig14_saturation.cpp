@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "table.hpp"
 #include "origami/cluster/options.hpp"
 #include "origami/common/csv.hpp"
 #include "origami/common/flags.hpp"
@@ -104,24 +105,20 @@ int main(int argc, char** argv) {
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
   const wl::Trace trace = bench::standard_rw(/*seed=*/1, ops);
 
-  common::CsvWriter csv = bench::open_csv("fig14", "saturation");
-  csv.header({"section", "scenario", "clients", "virtual_throughput_ops",
-              "p99_latency_us", "makespan_ms", "host_ms", "time_down_ms",
-              "time_degraded_ms", "failed_ops"});
-  const auto emit = [&csv](const char* section, const std::string& scenario,
-                           std::uint32_t clients, const LiveRun& run) {
+  bench::Table t("fig14", "saturation",
+                 {{"section", 0, 14}, {"scenario", 0, 15}, {"clients"},
+                  {"virtual_throughput_ops", 0}, {"p99_latency_us", 1},
+                  {"makespan_ms", 1}, {"host_ms", 1}, {"time_down_ms", 1},
+                  {"time_degraded_ms", 1}, {"failed_ops"}});
+  const auto emit = [&t](const char* section, const std::string& scenario,
+                         std::uint32_t clients, const LiveRun& run) {
     const fs::LiveReplayStats& s = run.stats;
-    csv.field(std::string(section))
-        .field(scenario)
-        .field(std::uint64_t{clients})
-        .field(s.throughput_ops)
-        .field(s.latency.quantile(0.99) / 1'000.0)
-        .field(static_cast<double>(s.makespan) / 1e6)
-        .field(run.host_ms)
-        .field(static_cast<double>(s.faults.time_down) / 1e6)
-        .field(static_cast<double>(s.faults.time_degraded) / 1e6)
-        .field(s.faults.failed_ops);
-    csv.endrow();
+    t.row({section, scenario, std::uint64_t{clients}, s.throughput_ops,
+           s.latency.quantile(0.99) / 1'000.0,
+           static_cast<double>(s.makespan) / 1e6, run.host_ms,
+           static_cast<double>(s.faults.time_down) / 1e6,
+           static_cast<double>(s.faults.time_degraded) / 1e6,
+           s.faults.failed_ops});
   };
 
   // ---- 1. saturation: the clients axis ----------------------------------
@@ -135,10 +132,6 @@ int main(int argc, char** argv) {
     lro.clients = clients;
     const LiveRun run = run_live(trace, lro);
     emit("matrix", "clean", clients, run);
-    std::printf("  clients %2u: %9.0f ops/s (virtual)  p99 %7.1fus  host "
-                "%7.1fms\n",
-                clients, run.stats.throughput_ops,
-                run.stats.latency.quantile(0.99) / 1'000.0, run.host_ms);
   }
 
   // ---- 2. live Fig. 10 counterpart: fault types vs tail latency ---------
@@ -176,13 +169,6 @@ int main(int argc, char** argv) {
   for (const Scenario& sc : sweep) {
     const LiveRun run = run_live(trace, sc.lro);
     emit("fault-sweep", sc.name, sc.lro.clients, run);
-    const fs::LiveReplayStats& s = run.stats;
-    std::printf("  %-10s p99 %8.1fus  down %7.1fms  degraded %7.1fms  "
-                "failed %llu\n",
-                sc.name, s.latency.quantile(0.99) / 1'000.0,
-                static_cast<double>(s.faults.time_down) / 1e6,
-                static_cast<double>(s.faults.time_degraded) / 1e6,
-                static_cast<unsigned long long>(s.faults.failed_ops));
   }
 
   // ---- 3. live Fig. 11 counterpart: recovery-duration sweep -------------
@@ -197,16 +183,11 @@ int main(int argc, char** argv) {
     char label[32];
     std::snprintf(label, sizeof(label), "recovery-%.0fms", recovery_ms);
     emit("recovery-sweep", label, lro.clients, run);
-    const fs::LiveReplayStats& s = run.stats;
-    std::printf("  recovery %5.0fms: down %8.1fms  %9.0f ops/s  p99 "
-                "%8.1fus\n",
-                recovery_ms, static_cast<double>(s.faults.time_down) / 1e6,
-                s.throughput_ops, s.latency.quantile(0.99) / 1'000.0);
   }
 
   bench::write_report(out_path, "saturation",
                       {{"ops", ops}, {"smoke", smoke}, {"shards", kShards}},
-                      csv);
+                      t.csv());
   std::printf("\nCSV: fig14_saturation.csv, JSON: %s\n", out_path.c_str());
   return 0;
 }

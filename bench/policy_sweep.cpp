@@ -5,6 +5,7 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "table.hpp"
 #include "origami/common/csv.hpp"
 #include "origami/engine/observer.hpp"
 #include "origami/fault/fault.hpp"
@@ -45,83 +46,26 @@ class SweepObserver final : public engine::Observer {
   std::uint64_t aborts = 0;
 };
 
-cluster::ReplayOptions faulted(cluster::ReplayOptions opt) {
-  fault::FaultPlan& plan = opt.faults;
-  plan.seed = 2027;
-  plan.crash_prob = 0.05;
-  plan.crash_recovery = sim::millis(400);
-  plan.rpc_loss_prob = 0.0005;
-  opt.retry.max_retries = 5;
-  opt.retry.timeout = sim::millis(2);
+cluster::ReplayOptions faulted(const cluster::ReplayOptions& base) {
+  cluster::ReplayOptions opt = with_crashes(base, 0.05);
   opt.recovery.commit_mode = recovery::CommitMode::kAsync;
   opt.recovery.commit_window = sim::millis(1.0);
   opt.recovery.commit_batch = 1024;
   return opt;
 }
 
-/// One CSV row. A column that a mode does not measure reads 0.
-struct Row {
-  std::string workload;
-  std::string policy;
-  std::string mode;
-  std::string arrival;
-  std::uint32_t servers = 0;
-  double throughput = 0.0;
-  double p99_us = 0.0;
-  double imbalance = 0.0;
-  std::uint64_t issued = 0;
-  double arrival_span_s = 0.0;
-  std::uint64_t migrations = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t fences = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t epochs_with_commits = 0;
-  std::uint64_t max_epoch_aborts = 0;
-  bool invariants_ok = true;
-};
-
-void emit(common::CsvWriter& csv, const Row& row) {
-  csv.field(row.workload)
-      .field(row.policy)
-      .field(row.mode)
-      .field(row.arrival)
-      .field(row.servers)
-      .field(row.throughput)
-      .field(row.p99_us)
-      .field(row.imbalance)
-      .field(row.issued)
-      .field(row.arrival_span_s)
-      .field(row.migrations)
-      .field(row.commits)
-      .field(row.aborts)
-      .field(row.fences)
-      .field(row.crashes)
-      .field(row.epochs_with_commits)
-      .field(row.max_epoch_aborts)
-      .field(std::uint64_t{row.invariants_ok ? 1u : 0u});
-  csv.endrow();
-  std::printf("%-6s %-12s %-12s %9.0f ops/s  p99 %9.1fus  imb %5.2f  "
-              "%3lu migr %3lu commit %2lu abort %3lu fence%s\n",
-              row.workload.c_str(), row.policy.c_str(), row.mode.c_str(),
-              row.throughput, row.p99_us, row.imbalance,
-              static_cast<unsigned long>(row.migrations),
-              static_cast<unsigned long>(row.commits),
-              static_cast<unsigned long>(row.aborts),
-              static_cast<unsigned long>(row.fences),
-              row.invariants_ok ? "" : "  INVARIANTS VIOLATED");
-}
-
 }  // namespace
 
 int run_policy_sweep(const SweepPreset& preset) {
   const policy::Registry& registry = policy::Registry::builtin();
-  common::CsvWriter csv = open_csv(preset.figure, preset.bench);
-  csv.header({"workload", "policy", "mode", "arrival", "servers",
-              "throughput_ops", "p99_latency_us", "imbalance", "issued_ops",
-              "arrival_span_s", "migrations", "committed_migrations",
-              "aborted_migrations", "fenced_rejections", "crashes",
-              "epochs_with_commits", "max_epoch_aborts", "invariants_ok"});
+  // A column that a mode does not measure reads 0.
+  Table t(preset.figure, preset.bench,
+          {{"workload", 0, 6}, {"policy", 0, 12}, {"mode", 0, 12},
+           {"arrival"}, {"servers"}, {"throughput_ops", 0},
+           {"p99_latency_us", 1}, {"imbalance", 2}, {"issued_ops"},
+           {"arrival_span_s", 2}, {"migrations"}, {"committed_migrations"},
+           {"aborted_migrations"}, {"fenced_rejections"}, {"crashes"},
+           {"epochs_with_commits"}, {"max_epoch_aborts"}, {"invariants_ok"}});
 
   int violations = 0;
   std::string workload_names;
@@ -161,29 +105,12 @@ int run_policy_sweep(const SweepPreset& preset) {
         const auto r = cluster::replay_trace(w.trace, opt, *balancer);
         if (!with_faults && e.name == "f-hash") converged = r;
 
-        Row row;
-        row.workload = w.name;
-        row.policy = e.name;
-        row.mode = mode;
-        row.arrival = r.arrival_name;
-        row.servers = r.mds_count;
-        row.throughput = r.steady_throughput_ops;
-        row.p99_us = r.p99_latency_us;
-        row.imbalance = r.imf_busy;
-        row.issued = seen.issued;
-        row.arrival_span_s = sim::to_seconds(seen.last_at);
-        row.migrations = r.migrations;
-        row.commits = seen.commits;
-        row.aborts = seen.aborts;
-        row.fences = r.faults.fenced_rejections;
-        row.crashes = r.faults.crashes;
-        row.epochs_with_commits = seen.epochs_with_commits;
-        row.max_epoch_aborts = seen.max_epoch_aborts;
+        bool invariants_ok = true;
         if (with_faults && r.ledger) {
           const auto report = recovery::NamespaceInvariantChecker::check(
               w.trace.tree, *r.ledger);
-          row.invariants_ok = report.ok();
-          if (row.invariants_ok) {
+          invariants_ok = report.ok();
+          if (invariants_ok) {
             std::printf("  [%s/%s] invariants: I1-I8 hold\n", w.name.c_str(),
                         e.name.c_str());
           } else {
@@ -193,7 +120,13 @@ int run_policy_sweep(const SweepPreset& preset) {
                         report.to_string().c_str());
           }
         }
-        emit(csv, row);
+        t.row({w.name, e.name, mode, r.arrival_name, r.mds_count,
+               r.steady_throughput_ops, r.p99_latency_us, r.imf_busy,
+               seen.issued, sim::to_seconds(seen.last_at), r.migrations,
+               seen.commits, seen.aborts, r.faults.fenced_rejections,
+               r.faults.crashes, seen.epochs_with_commits,
+               seen.max_epoch_aborts,
+               std::uint64_t{invariants_ok ? 1u : 0u}});
       }
 
       if (preset.live_epoch_ops > 0 && e.make_live != nullptr) {
@@ -221,21 +154,13 @@ int run_policy_sweep(const SweepPreset& preset) {
         lro.retry.max_retries = 4;
         const auto r = fs::replay_on_live(w.trace, fsys, lro);
 
-        Row row;
-        row.workload = w.name;
-        row.policy = e.name;
-        row.mode = "live";
-        row.arrival = "closed";  // lro keeps the live plane's closed loop
-        row.servers = preset.base.mds_count;
-        row.throughput = r.throughput_ops;
-        row.p99_us = r.latency.quantile(0.99) / 1'000.0;
-        row.imbalance = r.shard_imbalance;
-        row.migrations = r.migrations;
-        row.commits = r.faults.committed_migrations;
-        row.aborts = r.faults.aborted_migrations;
-        row.fences = r.faults.fenced_rejections;
-        row.crashes = r.faults.crashes;
-        emit(csv, row);
+        // lro keeps the live plane's closed loop.
+        t.row({w.name, e.name, "live", "closed", preset.base.mds_count,
+               r.throughput_ops, r.latency.quantile(0.99) / 1'000.0,
+               r.shard_imbalance, std::uint64_t{0}, 0.0, r.migrations,
+               r.faults.committed_migrations, r.faults.aborted_migrations,
+               r.faults.fenced_rejections, r.faults.crashes,
+               std::uint64_t{0}, std::uint64_t{0}, std::uint64_t{1}});
       }
     }
     std::printf("\n");
@@ -251,11 +176,11 @@ int run_policy_sweep(const SweepPreset& preset) {
                 {"smoke", preset.smoke},
                 {"policies", registry.entries().size()},
                 {"workloads", workload_names}},
-               csv);
+               t.csv());
   std::printf("all faulted runs audited: I1-I8 hold across %zu policies x "
               "%zu workloads. CSV: %s, JSON: %s\n",
               registry.entries().size(), preset.workloads.size(),
-              csv.path().c_str(), preset.out_path.c_str());
+              t.csv().path().c_str(), preset.out_path.c_str());
   return 0;
 }
 

@@ -282,12 +282,50 @@ if "${BUILD_ROOT}/sanitize/tools/origami_sim" --ops 1000 \
 fi
 echo "async kv-backing without --kv-wal-dir rejected with usage"
 
+# 3c''. Paper CSVs from the release build: every preset of experiments
+#       (the paper's figures and tables, the ablations and the appendices;
+#       about two minutes) must write each committed CSV byte for byte.
+#       ablation_metaopt_scaling.csv holds wall-clock milliseconds and is
+#       the one CSV not compared. Anything but preset names exits 2.
+echo "=== [release] experiments: paper CSVs regenerate ==="
+EXP_DIR="${BUILD_ROOT}/release/experiments-out"
+rm -rf "${EXP_DIR}" && mkdir -p "${EXP_DIR}"
+(cd "${EXP_DIR}" && "${BUILD_ROOT}/release/bench/experiments")
+for csv in "${EXP_DIR}"/*.csv; do
+  name="$(basename "${csv}")"
+  [[ "${name}" == ablation_metaopt_scaling.csv ]] && continue
+  cmp "${csv}" "${ROOT}/${name}" ||
+    { echo "${name} differs from what experiments writes"; exit 1; }
+done
+echo "every paper CSV regenerates byte for byte"
+for arg in bogus --mds=3; do
+  rc_exp=0
+  "${BUILD_ROOT}/release/bench/experiments" "${arg}" >/dev/null 2>&1 ||
+    rc_exp=$?
+  [[ "${rc_exp}" -eq 2 ]] ||
+    { echo "experiments ${arg} exited ${rc_exp}, want 2"; exit 1; }
+done
+echo "experiments refuses unknown names and flags with exit 2"
+
 # 3d. Async-commit bench smoke from the release build: keeps the
 #     BENCH_async_commit.json schema alive and enforces the throughput-
 #     monotone-in-window contract plus the per-run I1-I8 audit.
 echo "=== [release] fig12_async_commit smoke ==="
 (cd "${BUILD_ROOT}/release" && \
   ./bench/fig12_async_commit --smoke --out BENCH_async_commit.json)
+
+# fig12's grid sets each cell's fault plan, retries and commit mode: a
+# shared fault, retry or commit flag would be dropped or would run the sync
+# rows async, so it must exit 2 instead.
+for flag in --fault-crash-prob=0.5 --retry-max=0 --commit-mode=async; do
+  rc_flag=0
+  (cd "${BUILD_ROOT}/release" && \
+    ./bench/fig12_async_commit --smoke "${flag}" >/dev/null 2>&1) ||
+    rc_flag=$?
+  [[ "${rc_flag}" -eq 2 ]] ||
+    { echo "fig12_async_commit ${flag} exited ${rc_flag}, want 2"; exit 1; }
+done
+echo "fig12 refuses the shared fault flags with exit 2"
 
 # 3d'. Measured-store companion: the same grid on the real KV path, keeping
 #      the BENCH_kv_commit.json schema (measured fsync percentiles per
