@@ -13,6 +13,8 @@
 #include "origami/ml/metrics.hpp"
 #include "origami/ml/mlp.hpp"
 
+#include "support/fingerprints.hpp"
+
 namespace origami::ml {
 namespace {
 
@@ -237,6 +239,53 @@ TEST(Gbdt, DeterministicBySeed) {
   const GbdtModel b = GbdtModel::train(data, params);
   for (std::size_t i = 0; i < 20; ++i) {
     EXPECT_DOUBLE_EQ(a.predict(data.row(i)), b.predict(data.row(i)));
+  }
+}
+
+// The trainer's output pinned byte for byte: one fixed dataset fit under
+// each growth and sampling path, fingerprinted over `save()` text (every
+// tree, split, threshold, leaf value and importance). A faster trainer
+// must reproduce these exactly; re-base only on an intended model change.
+TEST(GbdtGolden, SaveTextPinnedPerConfig) {
+  const Dataset data = make_linear_data(3000, 41, 0.3, /*features=*/6);
+  auto [train, valid] = data.split(0.8, 5);
+  struct Config {
+    const char* name;
+    GbdtParams params;
+    bool validate;
+    const char* fingerprint;
+  };
+  const auto with = [](auto edit) {
+    GbdtParams p;
+    edit(p);
+    return p;
+  };
+  const Config configs[] = {
+      {"leaf-wise defaults", {}, false,
+       "400 trees 8213170574981846910\n"},
+      {"level-wise", with([](GbdtParams& p) { p.leaf_wise = false; }), false,
+       "400 trees 11178852228718888309\n"},
+      {"bagging 0.7", with([](GbdtParams& p) { p.bagging_fraction = 0.7; }),
+       false, "400 trees 234181408559325982\n"},
+      {"feature_fraction 0.6",
+       with([](GbdtParams& p) { p.feature_fraction = 0.6; }), false,
+       "400 trees 11742368796348199847\n"},
+      {"early stopping",
+       with([](GbdtParams& p) { p.early_stopping_rounds = 10; }), true,
+       "79 trees 12946994710609486783\n"},
+      {"8 bins, 200 per leaf", with([](GbdtParams& p) {
+         p.max_bins = 8;
+         p.min_data_in_leaf = 200;
+       }),
+       false, "400 trees 18173173496612714518\n"},
+  };
+  for (const Config& c : configs) {
+    const GbdtModel model =
+        GbdtModel::train(train, c.params, c.validate ? &valid : nullptr);
+    if (c.validate) {
+      EXPECT_LT(model.num_trees(), c.params.rounds) << "never stopped early";
+    }
+    EXPECT_EQ(testing::model_fingerprint(model), c.fingerprint) << c.name;
   }
 }
 

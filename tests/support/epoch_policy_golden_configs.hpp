@@ -10,7 +10,6 @@
 // the tool and re-audit the diff.
 
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -91,19 +90,6 @@ inline const core::TrainedModels& epoch_policy_models() {
         core::generate_labels(epoch_policy_trace(99, 12'000), lg), gbdt);
   }();
   return models;
-}
-
-/// FNV-1a over a model's `save()` text: pins every tree, split and leaf.
-inline std::string model_fingerprint(const ml::GbdtModel& model) {
-  std::ostringstream text;
-  model.save(text);
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : text.str()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return std::to_string(model.num_trees()) + " trees " + std::to_string(h) +
-         "\n";
 }
 
 /// Replays one config under `spec` and returns its fingerprint. Throws when

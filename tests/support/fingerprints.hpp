@@ -13,6 +13,7 @@
 
 #include "origami/cluster/metrics.hpp"
 #include "origami/fs/live_replay.hpp"
+#include "origami/ml/gbdt.hpp"
 #include "origami/recovery/invariants.hpp"
 
 namespace origami::testing {
@@ -182,6 +183,19 @@ inline std::string live_policy_fingerprint(const fs::LiveReplayStats& s,
   std::ostringstream out;
   out << fault_plane_fingerprint(s) << dirs << ':' << h << '\n';
   return out.str();
+}
+
+/// FNV-1a over a model's `save()` text: pins every tree, split and leaf.
+inline std::string model_fingerprint(const ml::GbdtModel& model) {
+  std::ostringstream text;
+  model.save(text);
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text.str()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return std::to_string(model.num_trees()) + " trees " + std::to_string(h) +
+         "\n";
 }
 
 }  // namespace origami::testing
