@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "origami/common/thread_pool.hpp"
 #include "origami/ml/dataset.hpp"
 
 namespace origami::ml {
@@ -36,16 +35,14 @@ struct GbdtParams {
 /// Gradient-boosted regression trees over histogram-binned features:
 /// leaf-wise growth with gain-based best-leaf selection (the LightGBM
 /// algorithm) or level-wise growth (classic GBDT), squared-error loss.
-///
-/// Histogram construction parallelises over feature blocks when a
-/// ThreadPool is supplied.
+/// Training is serial and deterministic: the same data and params give the
+/// same model, byte for byte.
 class GbdtModel {
  public:
   /// Trains on `train`; `valid` enables early stopping and is otherwise
   /// only used for the validation curve.
   static GbdtModel train(const Dataset& train, const GbdtParams& params,
-                         const Dataset* valid = nullptr,
-                         common::ThreadPool* pool = nullptr);
+                         const Dataset* valid = nullptr);
 
   [[nodiscard]] double predict(std::span<const float> features) const;
   [[nodiscard]] std::vector<double> predict_batch(const Dataset& data) const;

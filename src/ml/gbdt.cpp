@@ -50,9 +50,8 @@ std::vector<std::size_t> GbdtModel::importance_ranking() const {
 /// keeps a contiguous index range so splits partition in place.
 class GbdtTrainer {
  public:
-  GbdtTrainer(const Dataset& train, const GbdtParams& params,
-              common::ThreadPool* pool)
-      : data_(train), params_(params), pool_(pool), rng_(params.seed) {
+  GbdtTrainer(const Dataset& train, const GbdtParams& params)
+      : data_(train), params_(params), rng_(params.seed) {
     n_ = data_.size();
     nf_ = data_.num_features();
     bin_feature();
@@ -115,8 +114,6 @@ class GbdtTrainer {
     double gain = -1.0;
     int feature = -1;
     int bin = -1;
-    double left_sum = 0.0;
-    std::size_t left_count = 0;
     double sum = 0.0;
   };
 
@@ -149,7 +146,7 @@ class GbdtTrainer {
   }
 
   /// Finds the best split for `leaf` over all features, filling its
-  /// candidate fields. Histograms are built feature-parallel on the pool.
+  /// candidate fields.
   void find_best_split(Leaf& leaf) {
     const std::size_t count = leaf.end - leaf.begin;
     leaf.gain = -1.0;
@@ -168,13 +165,11 @@ class GbdtTrainer {
 
     std::vector<double> best_gain(nf_, -1.0);
     std::vector<int> best_bin(nf_, -1);
-    std::vector<double> best_left(nf_, 0.0);
-    std::vector<std::size_t> best_left_count(nf_, 0);
 
-    auto scan_features = [&](std::size_t fb, std::size_t fe) {
+    {
       std::vector<double> hist_g;
       std::vector<std::uint32_t> hist_c;
-      for (std::size_t f = fb; f < fe; ++f) {
+      for (std::size_t f = 0; f < nf_; ++f) {
         if (use_mask && !feature_mask_[f]) continue;
         const std::size_t nb = bins_of(f);
         hist_g.assign(nb, 0.0);
@@ -202,19 +197,9 @@ class GbdtTrainer {
           if (gain > best_gain[f]) {
             best_gain[f] = gain;
             best_bin[f] = static_cast<int>(b);
-            best_left[f] = gl;
-            best_left_count[f] = cl;
           }
         }
       }
-    };
-
-    if (pool_ != nullptr && pool_->size() > 1 && nf_ > 1) {
-      common::parallel_for(
-          *pool_, nf_, [&](std::size_t b, std::size_t e) { scan_features(b, e); },
-          /*min_chunk=*/1);
-    } else {
-      scan_features(0, nf_);
     }
 
     for (std::size_t f = 0; f < nf_; ++f) {
@@ -222,8 +207,6 @@ class GbdtTrainer {
         leaf.gain = best_gain[f];
         leaf.feature = static_cast<int>(f);
         leaf.bin = best_bin[f];
-        leaf.left_sum = best_left[f];
-        leaf.left_count = best_left_count[f];
       }
     }
   }
@@ -353,7 +336,6 @@ class GbdtTrainer {
 
   const Dataset& data_;
   GbdtParams params_;
-  common::ThreadPool* pool_;
   common::Xoshiro256 rng_;
 
   std::size_t n_ = 0;
@@ -367,14 +349,14 @@ class GbdtTrainer {
 };
 
 GbdtModel GbdtModel::train(const Dataset& train, const GbdtParams& params,
-                           const Dataset* valid, common::ThreadPool* pool) {
+                           const Dataset* valid) {
   if (train.size() == 0 || train.num_features() == 0) {
     GbdtModel empty;
     empty.num_features_ = train.num_features();
     empty.importance_.assign(train.num_features(), 0.0);
     return empty;
   }
-  GbdtTrainer trainer(train, params, pool);
+  GbdtTrainer trainer(train, params);
   return trainer.run(valid);
 }
 
