@@ -46,15 +46,21 @@ std::vector<std::size_t> GbdtModel::importance_ranking() const {
 // Training
 // ---------------------------------------------------------------------------
 
-/// Histogram-based trainer. Features are quantile-binned once; every leaf
-/// keeps a contiguous index range so splits partition in place.
+/// Histogram-based trainer. Features are quantile-binned once into row-major
+/// codes; every leaf keeps a contiguous range of `index_`, in ascending row
+/// order, so splits partition in place. One pass over a leaf's rows fills
+/// every feature's histogram and the leaf's gradient sum, adding each row in
+/// range order, so every double sum follows the same sequence whichever
+/// features are read.
 class GbdtTrainer {
  public:
   GbdtTrainer(const Dataset& train, const GbdtParams& params)
       : data_(train), params_(params), rng_(params.seed) {
     n_ = data_.size();
     nf_ = data_.num_features();
-    bin_feature();
+    bin_features();
+    index_.reserve(n_);
+    right_.resize(n_);
   }
 
   GbdtModel run(const Dataset* valid) {
@@ -84,9 +90,6 @@ class GbdtTrainer {
         grad_[i] = static_cast<float>(pred_[i] - data_.label(i));
       }
       GbdtModel::Tree tree = build_tree(model.importance_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        pred_[i] += tree.predict(data_.row(i));
-      }
       for (std::size_t i = 0; i < valid_pred.size(); ++i) {
         valid_pred[i] += tree.predict(valid->row(i));
       }
@@ -109,119 +112,122 @@ class GbdtTrainer {
   struct Leaf {
     std::size_t begin = 0;
     std::size_t end = 0;
-    int node = -1;        // node index in the tree being built
+    int node = -1;  // node index in the tree being built
+    double sum = 0.0;  // gradient sum over the leaf's rows
     // best candidate split:
     double gain = -1.0;
     int feature = -1;
     int bin = -1;
-    double sum = 0.0;
   };
 
-  void bin_feature() {
+  /// Quantile cuts per feature; codes are stored row-major.
+  void bin_features() {
     const int nb = std::clamp(params_.max_bins, 2, 255);
     bin_upper_.assign(nf_, {});
-    codes_.assign(nf_ * n_, 0);
+    bin_offset_.assign(nf_ + 1, 0);
+    codes_.assign(n_ * nf_, 0);
     for (std::size_t f = 0; f < nf_; ++f) {
-      std::vector<float> vals = data_.column(f);
+      const std::vector<float> vals = data_.column(f);
       std::vector<float> sorted = vals;
       std::sort(sorted.begin(), sorted.end());
+      const std::size_t m = sorted.size();
       auto& uppers = bin_upper_[f];
       for (int b = 1; b < nb; ++b) {
-        const std::size_t idx = static_cast<std::size_t>(b) * n_ / static_cast<std::size_t>(nb);
-        if (idx >= n_) break;
+        const std::size_t idx = static_cast<std::size_t>(b) * m / static_cast<std::size_t>(nb);
+        if (idx >= m) break;
         const float cut = sorted[idx];
         if (uppers.empty() || cut > uppers.back()) uppers.push_back(cut);
       }
       for (std::size_t i = 0; i < n_; ++i) {
-        const auto it =
-            std::lower_bound(uppers.begin(), uppers.end(), vals[i]);
-        codes_[f * n_ + i] =
-            static_cast<std::uint8_t>(std::distance(uppers.begin(), it));
+        const auto code = static_cast<std::size_t>(
+            std::lower_bound(uppers.begin(), uppers.end(), vals[i]) -
+            uppers.begin());
+        codes_[i * nf_ + f] = static_cast<std::uint8_t>(code);
       }
+      bin_offset_[f + 1] = bin_offset_[f] + uppers.size() + 1;
     }
+    hist_g_.resize(bin_offset_[nf_]);
+    hist_c_.resize(bin_offset_[nf_]);
   }
 
-  [[nodiscard]] std::size_t bins_of(std::size_t f) const {
-    return bin_upper_[f].size() + 1;
-  }
-
-  /// Finds the best split for `leaf` over all features, filling its
-  /// candidate fields.
+  /// Sums the leaf's gradients and, when it is large enough to split,
+  /// builds every sampled feature's histogram in the same pass and keeps
+  /// the best split: highest gain, lowest feature, then lowest bin.
   void find_best_split(Leaf& leaf) {
     const std::size_t count = leaf.end - leaf.begin;
+    const auto min_leaf = static_cast<std::size_t>(params_.min_data_in_leaf);
     leaf.gain = -1.0;
-    if (count < 2 * static_cast<std::size_t>(params_.min_data_in_leaf)) return;
-
     double total = 0.0;
+    if (count < 2 * min_leaf) {
+      for (std::size_t i = leaf.begin; i < leaf.end; ++i) {
+        total += grad_[index_[i]];
+      }
+      leaf.sum = total;
+      return;
+    }
+
+    std::fill(hist_g_.begin(), hist_g_.end(), 0.0);
+    std::fill(hist_c_.begin(), hist_c_.end(), 0u);
     for (std::size_t i = leaf.begin; i < leaf.end; ++i) {
-      total += grad_[index_[i]];
+      const std::size_t row = index_[i];
+      const double g = grad_[row];
+      total += g;
+      const std::uint8_t* codes = codes_.data() + row * nf_;
+      for (const std::size_t f : features_) {
+        const std::size_t b = bin_offset_[f] + codes[f];
+        hist_g_[b] += g;
+        ++hist_c_[b];
+      }
     }
     leaf.sum = total;
 
     const double lambda = params_.lambda_l2;
     const double parent_score =
         total * total / (static_cast<double>(count) + lambda);
-    const bool use_mask = !feature_mask_.empty();
-
-    std::vector<double> best_gain(nf_, -1.0);
-    std::vector<int> best_bin(nf_, -1);
-
-    {
-      std::vector<double> hist_g;
-      std::vector<std::uint32_t> hist_c;
-      for (std::size_t f = 0; f < nf_; ++f) {
-        if (use_mask && !feature_mask_[f]) continue;
-        const std::size_t nb = bins_of(f);
-        hist_g.assign(nb, 0.0);
-        hist_c.assign(nb, 0);
-        const std::uint8_t* col = codes_.data() + f * n_;
-        for (std::size_t i = leaf.begin; i < leaf.end; ++i) {
-          const std::size_t row = index_[i];
-          hist_g[col[row]] += grad_[row];
-          ++hist_c[col[row]];
+    for (const std::size_t f : features_) {
+      const double* hist_g = hist_g_.data() + bin_offset_[f];
+      const std::uint32_t* hist_c = hist_c_.data() + bin_offset_[f];
+      const std::size_t nb = bin_offset_[f + 1] - bin_offset_[f];
+      double gl = 0.0;
+      std::size_t cl = 0;
+      for (std::size_t b = 0; b + 1 < nb; ++b) {
+        gl += hist_g[b];
+        cl += hist_c[b];
+        const std::size_t cr = count - cl;
+        if (cl < min_leaf || cr < min_leaf) continue;
+        const double gr = total - gl;
+        const double gain =
+            gl * gl / (static_cast<double>(cl) + lambda) +
+            gr * gr / (static_cast<double>(cr) + lambda) - parent_score;
+        if (gain > leaf.gain) {
+          leaf.gain = gain;
+          leaf.feature = static_cast<int>(f);
+          leaf.bin = static_cast<int>(b);
         }
-        double gl = 0.0;
-        std::size_t cl = 0;
-        for (std::size_t b = 0; b + 1 < nb; ++b) {
-          gl += hist_g[b];
-          cl += hist_c[b];
-          const std::size_t cr = count - cl;
-          if (cl < static_cast<std::size_t>(params_.min_data_in_leaf) ||
-              cr < static_cast<std::size_t>(params_.min_data_in_leaf)) {
-            continue;
-          }
-          const double gr = total - gl;
-          const double gain =
-              gl * gl / (static_cast<double>(cl) + lambda) +
-              gr * gr / (static_cast<double>(cr) + lambda) - parent_score;
-          if (gain > best_gain[f]) {
-            best_gain[f] = gain;
-            best_bin[f] = static_cast<int>(b);
-          }
-        }
-      }
-    }
-
-    for (std::size_t f = 0; f < nf_; ++f) {
-      if (best_gain[f] > leaf.gain) {
-        leaf.gain = best_gain[f];
-        leaf.feature = static_cast<int>(f);
-        leaf.bin = best_bin[f];
       }
     }
   }
 
-  /// Partitions a leaf's index range around its chosen split; returns the
-  /// boundary position.
+  /// Stable in-place partition of a leaf's range around its chosen split:
+  /// left rows compact forward, right rows go through `right_` and land
+  /// after them. Both stores happen for every row, so the loop has no
+  /// data-dependent branch. Returns the boundary position.
   std::size_t apply_split(const Leaf& leaf) {
-    const std::uint8_t* col =
-        codes_.data() + static_cast<std::size_t>(leaf.feature) * n_;
+    const auto f = static_cast<std::size_t>(leaf.feature);
     const auto bin = static_cast<std::uint8_t>(leaf.bin);
-    auto mid = std::stable_partition(
-        index_.begin() + static_cast<std::ptrdiff_t>(leaf.begin),
-        index_.begin() + static_cast<std::ptrdiff_t>(leaf.end),
-        [&](std::size_t row) { return col[row] <= bin; });
-    return static_cast<std::size_t>(std::distance(index_.begin(), mid));
+    std::size_t mid = leaf.begin;
+    std::size_t right = 0;
+    for (std::size_t i = leaf.begin; i < leaf.end; ++i) {
+      const std::size_t row = index_[i];
+      const bool left = codes_[row * nf_ + f] <= bin;
+      index_[mid] = row;  // mid <= i: this slot was read already
+      right_[right] = row;
+      mid += static_cast<std::size_t>(left);
+      right += static_cast<std::size_t>(!left);
+    }
+    std::copy_n(right_.begin(), right,
+                index_.begin() + static_cast<std::ptrdiff_t>(mid));
+    return mid;
   }
 
   [[nodiscard]] double leaf_value(double sum, std::size_t count) const {
@@ -229,68 +235,85 @@ class GbdtTrainer {
            (static_cast<double>(count) + params_.lambda_l2);
   }
 
-  GbdtModel::Tree build_tree(std::vector<double>& importance) {
-    // Feature sampling (LightGBM's feature_fraction): one mask per tree.
-    feature_mask_.clear();
+  /// Draws this tree's features (LightGBM's feature_fraction) and rows
+  /// (bagging), in that order; rows left out go to `out_of_bag_`.
+  void sample() {
+    features_.clear();
     if (params_.feature_fraction < 1.0) {
-      feature_mask_.assign(nf_, false);
-      std::size_t enabled = 0;
       for (std::size_t f = 0; f < nf_; ++f) {
         if (rng_.uniform_double() < params_.feature_fraction) {
-          feature_mask_[f] = true;
-          ++enabled;
+          features_.push_back(f);
         }
       }
-      if (enabled == 0) feature_mask_[rng_.uniform(nf_)] = true;
+      if (features_.empty()) features_.push_back(rng_.uniform(nf_));
+    } else {
+      for (std::size_t f = 0; f < nf_; ++f) features_.push_back(f);
     }
 
-    // Row sampling (bagging).
     index_.clear();
+    out_of_bag_.clear();
     if (params_.bagging_fraction >= 1.0) {
       index_.resize(n_);
       std::iota(index_.begin(), index_.end(), 0);
     } else {
       for (std::size_t i = 0; i < n_; ++i) {
-        if (rng_.uniform_double() < params_.bagging_fraction) index_.push_back(i);
+        if (rng_.uniform_double() < params_.bagging_fraction) {
+          index_.push_back(i);
+        } else {
+          out_of_bag_.push_back(i);
+        }
       }
-      if (index_.empty()) index_.push_back(rng_.uniform(n_));
+      if (index_.empty()) {
+        // Every row was left out, so out_of_bag_[r] == r.
+        const std::size_t r = rng_.uniform(n_);
+        index_.push_back(r);
+        out_of_bag_.erase(out_of_bag_.begin() + static_cast<std::ptrdiff_t>(r));
+      }
     }
+  }
+
+  /// Grows one tree on the current gradients and adds its output to
+  /// `pred_`: in-bag rows from the leaf range they ended in, out-of-bag
+  /// rows through `Tree::predict`.
+  GbdtModel::Tree build_tree(std::vector<double>& importance) {
+    sample();
 
     GbdtModel::Tree tree;
+    tree.nodes.reserve(2 * static_cast<std::size_t>(std::max(params_.max_leaves, 1)) - 1);
     tree.nodes.push_back({});
-    std::vector<Leaf> leaves;
+    leaves_.clear();
     Leaf root;
     root.begin = 0;
     root.end = index_.size();
     root.node = 0;
     find_best_split(root);
-    leaves.push_back(root);
+    leaves_.push_back(root);
 
     int leaf_count = 1;
     while (leaf_count < params_.max_leaves) {
       // Leaf-wise: split the leaf with the best gain. Level-wise: split the
       // oldest splittable leaf (FIFO), which grows the tree breadth-first.
-      std::size_t pick = leaves.size();
+      std::size_t pick = leaves_.size();
       if (params_.leaf_wise) {
         double best = 0.0;
-        for (std::size_t i = 0; i < leaves.size(); ++i) {
-          if (leaves[i].gain > best) {
-            best = leaves[i].gain;
+        for (std::size_t i = 0; i < leaves_.size(); ++i) {
+          if (leaves_[i].gain > best) {
+            best = leaves_[i].gain;
             pick = i;
           }
         }
       } else {
-        for (std::size_t i = 0; i < leaves.size(); ++i) {
-          if (leaves[i].gain > 0.0) {
+        for (std::size_t i = 0; i < leaves_.size(); ++i) {
+          if (leaves_[i].gain > 0.0) {
             pick = i;
             break;
           }
         }
       }
-      if (pick >= leaves.size()) break;  // nothing splittable
+      if (pick >= leaves_.size()) break;  // nothing splittable
 
-      Leaf leaf = leaves[pick];
-      leaves.erase(leaves.begin() + static_cast<std::ptrdiff_t>(pick));
+      const Leaf leaf = leaves_[pick];
+      leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(pick));
       importance[static_cast<std::size_t>(leaf.feature)] += leaf.gain;
 
       const std::size_t mid = apply_split(leaf);
@@ -319,17 +342,20 @@ class GbdtTrainer {
       right.end = leaf.end;
       right.node = right_node;
       find_best_split(right);
-      leaves.push_back(left);
-      leaves.push_back(right);
+      leaves_.push_back(left);
+      leaves_.push_back(right);
       ++leaf_count;
     }
 
-    // Finalise leaf values.
-    for (const Leaf& leaf : leaves) {
-      double sum = 0.0;
-      for (std::size_t i = leaf.begin; i < leaf.end; ++i) sum += grad_[index_[i]];
-      tree.nodes[static_cast<std::size_t>(leaf.node)].value =
-          leaf_value(sum, leaf.end - leaf.begin);
+    for (const Leaf& leaf : leaves_) {
+      const double value = leaf_value(leaf.sum, leaf.end - leaf.begin);
+      tree.nodes[static_cast<std::size_t>(leaf.node)].value = value;
+      for (std::size_t i = leaf.begin; i < leaf.end; ++i) {
+        pred_[index_[i]] += value;
+      }
+    }
+    for (const std::size_t row : out_of_bag_) {
+      pred_[row] += tree.predict(data_.row(row));
     }
     return tree;
   }
@@ -341,11 +367,18 @@ class GbdtTrainer {
   std::size_t n_ = 0;
   std::size_t nf_ = 0;
   std::vector<std::vector<float>> bin_upper_;  // per feature
-  std::vector<std::uint8_t> codes_;            // column-major bins
+  std::vector<std::size_t> bin_offset_;  // feature f's bins start here
+  std::vector<std::uint8_t> codes_;      // row-major bins, n_ x nf_
   std::vector<double> pred_;
   std::vector<float> grad_;
+  // Reused across splits and trees:
+  std::vector<double> hist_g_;
+  std::vector<std::uint32_t> hist_c_;
   std::vector<std::size_t> index_;
-  std::vector<bool> feature_mask_;
+  std::vector<std::size_t> right_;
+  std::vector<std::size_t> out_of_bag_;
+  std::vector<std::size_t> features_;  // this tree's, ascending
+  std::vector<Leaf> leaves_;
 };
 
 GbdtModel GbdtModel::train(const Dataset& train, const GbdtParams& params,
