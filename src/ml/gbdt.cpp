@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <ostream>
@@ -120,7 +121,10 @@ class GbdtTrainer {
     int bin = -1;
   };
 
-  /// Quantile cuts per feature; codes are stored row-major.
+  /// Quantile cuts from each feature's non-NaN values. NaN takes the last
+  /// bin, so every split sends it right, as `Tree::predict` does
+  /// (`NaN <= threshold` is false): a row's bins route it to the leaf that
+  /// `predict` reaches, whatever its values.
   void bin_features() {
     const int nb = std::clamp(params_.max_bins, 2, 255);
     bin_upper_.assign(nf_, {});
@@ -128,7 +132,9 @@ class GbdtTrainer {
     codes_.assign(n_ * nf_, 0);
     for (std::size_t f = 0; f < nf_; ++f) {
       const std::vector<float> vals = data_.column(f);
-      std::vector<float> sorted = vals;
+      std::vector<float> sorted;
+      std::copy_if(vals.begin(), vals.end(), std::back_inserter(sorted),
+                   [](float v) { return !std::isnan(v); });
       std::sort(sorted.begin(), sorted.end());
       const std::size_t m = sorted.size();
       auto& uppers = bin_upper_[f];
@@ -139,9 +145,12 @@ class GbdtTrainer {
         if (uppers.empty() || cut > uppers.back()) uppers.push_back(cut);
       }
       for (std::size_t i = 0; i < n_; ++i) {
-        const auto code = static_cast<std::size_t>(
-            std::lower_bound(uppers.begin(), uppers.end(), vals[i]) -
-            uppers.begin());
+        const auto code =
+            std::isnan(vals[i])
+                ? uppers.size()
+                : static_cast<std::size_t>(
+                      std::lower_bound(uppers.begin(), uppers.end(), vals[i]) -
+                      uppers.begin());
         codes_[i * nf_ + f] = static_cast<std::uint8_t>(code);
       }
       bin_offset_[f + 1] = bin_offset_[f] + uppers.size() + 1;

@@ -230,6 +230,29 @@ TEST(Gbdt, EmptyAndConstantDatasets) {
   EXPECT_NEAR(m1.predict(std::array<float, 1>{1.0f}), 5.0, 1e-6);
 }
 
+TEST(Gbdt, NanRoutesTheSameInTrainingAndPrediction) {
+  // x0 is missing (NaN) on a third of the rows, and only those rows carry
+  // label 10. Prediction sends NaN right at every split (`NaN <= t` is
+  // false), so training must bin it where it goes right too.
+  Dataset data;
+  common::Xoshiro256 rng(23);
+  std::vector<float> row(2);
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const bool missing = rng.uniform(3) == 0;
+    row[0] = missing ? std::numeric_limits<float>::quiet_NaN()
+                     : static_cast<float>(rng.uniform_double());
+    row[1] = static_cast<float>(rng.uniform_double());
+    data.add_row(row, missing ? 10.0f : 0.0f);
+  }
+  GbdtParams params;
+  params.rounds = 60;
+  params.learning_rate = 0.3;
+  const GbdtModel model = GbdtModel::train(data, params);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_NEAR(model.predict(std::array<float, 2>{nan, 0.5f}), 10.0, 1.0);
+  EXPECT_NEAR(model.predict(std::array<float, 2>{0.5f, 0.5f}), 0.0, 1.0);
+}
+
 TEST(Gbdt, DeterministicBySeed) {
   const Dataset data = make_linear_data(1000, 13, 0.1);
   GbdtParams params;
