@@ -55,6 +55,9 @@ struct TrainedModels {
   double popularity_rmse = 0.0;
 };
 
+/// Fits the two models side by side, the benefit model on one extra thread;
+/// they share no state, so the result equals two serial fits. An error in
+/// either fit is rethrown here.
 TrainedModels train_models(const LabelGenResult& labels,
                            const ml::GbdtParams& params = {},
                            std::uint64_t split_seed = 97);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <future>
 #include <numeric>
 
 #include "origami/common/thread_pool.hpp"
@@ -82,6 +83,52 @@ class LabelCollectorBalancer final : public cluster::Balancer {
   ml::Dataset& popularity_;
 };
 
+/// The deployed benefit model, with its held-out RMSE, Spearman and
+/// top-decile lift.
+void fit_benefit(const ml::Dataset& data, const ml::GbdtParams& params,
+                 std::uint64_t split_seed, TrainedModels& out) {
+  auto [train, valid] = data.split(0.8, split_seed);
+  auto model = ml::GbdtModel::train(train, params, &valid);
+  if (valid.size() > 1) {
+    const auto pred = model.predict_batch(valid);
+    out.benefit_rmse = ml::rmse(pred, valid.labels());
+    out.benefit_spearman = ml::spearman(pred, valid.labels());
+
+    // Top-decile lift: do the rows the model ranks highest carry most of
+    // the true benefit?
+    std::vector<std::size_t> order(pred.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return pred[a] > pred[b];
+                     });
+    const std::size_t top = std::max<std::size_t>(1, order.size() / 10);
+    double top_sum = 0.0;
+    double all_sum = 0.0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const double label = valid.label(order[i]);
+      all_sum += label;
+      if (i < top) top_sum += label;
+    }
+    const double all_mean = all_sum / static_cast<double>(order.size());
+    const double top_mean = top_sum / static_cast<double>(top);
+    out.benefit_top_lift = all_mean > 0.0 ? top_mean / all_mean : 0.0;
+  }
+  out.benefit = std::make_shared<ml::GbdtModel>(std::move(model));
+}
+
+/// ML-tree's popularity model, with its held-out RMSE.
+void fit_popularity(const ml::Dataset& data, const ml::GbdtParams& params,
+                    std::uint64_t split_seed, TrainedModels& out) {
+  auto [train, valid] = data.split(0.8, split_seed);
+  auto model = ml::GbdtModel::train(train, params, &valid);
+  if (valid.size() > 1) {
+    const auto pred = model.predict_batch(valid);
+    out.popularity_rmse = ml::rmse(pred, valid.labels());
+  }
+  out.popularity = std::make_shared<ml::GbdtModel>(std::move(model));
+}
+
 }  // namespace
 
 LabelGenResult generate_labels(const wl::Trace& trace,
@@ -104,45 +151,16 @@ TrainedModels train_models(const LabelGenResult& labels,
                            const ml::GbdtParams& params,
                            std::uint64_t split_seed) {
   TrainedModels out;
-  {
-    auto [train, valid] = labels.benefit_data.split(0.8, split_seed);
-    auto model = ml::GbdtModel::train(train, params, &valid);
-    if (valid.size() > 1) {
-      const auto pred = model.predict_batch(valid);
-      out.benefit_rmse = ml::rmse(pred, valid.labels());
-      out.benefit_spearman = ml::spearman(pred, valid.labels());
-
-      // Top-decile lift: do the rows the model ranks highest carry most of
-      // the true benefit?
-      std::vector<std::size_t> order(pred.size());
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return pred[a] > pred[b];
-                       });
-      const std::size_t top = std::max<std::size_t>(1, order.size() / 10);
-      double top_sum = 0.0;
-      double all_sum = 0.0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        const double label = valid.label(order[i]);
-        all_sum += label;
-        if (i < top) top_sum += label;
-      }
-      const double all_mean = all_sum / static_cast<double>(order.size());
-      const double top_mean = top_sum / static_cast<double>(top);
-      out.benefit_top_lift = all_mean > 0.0 ? top_mean / all_mean : 0.0;
-    }
-    out.benefit = std::make_shared<ml::GbdtModel>(std::move(model));
-  }
-  {
-    auto [train, valid] = labels.popularity_data.split(0.8, split_seed + 1);
-    auto model = ml::GbdtModel::train(train, params, &valid);
-    if (valid.size() > 1) {
-      const auto pred = model.predict_batch(valid);
-      out.popularity_rmse = ml::rmse(pred, valid.labels());
-    }
-    out.popularity = std::make_shared<ml::GbdtModel>(std::move(model));
-  }
+  // The two fits share no state: each reads only its own dataset and writes
+  // only its own fields of `out`, so fitting the benefit model on a second
+  // thread gives the serial result. get() rethrows that fit's error; if the
+  // popularity fit throws first, the future's destructor waits for the
+  // benefit fit before `out` goes away.
+  std::future<void> benefit = std::async(std::launch::async, [&] {
+    fit_benefit(labels.benefit_data, params, split_seed, out);
+  });
+  fit_popularity(labels.popularity_data, params, split_seed + 1, out);
+  benefit.get();
   return out;
 }
 

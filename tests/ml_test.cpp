@@ -1,13 +1,17 @@
 // Tests for the from-scratch ML stack: dataset handling, the histogram
-// GBDT (leaf-wise and level-wise), the MLP, and regression metrics.
+// GBDT (leaf-wise and level-wise), the MLP, regression metrics, and the
+// offline fit of the two models (core::train_models).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "origami/common/rng.hpp"
+#include "origami/core/pipeline.hpp"
 #include "origami/ml/dataset.hpp"
 #include "origami/ml/gbdt.hpp"
 #include "origami/ml/metrics.hpp"
@@ -325,6 +329,58 @@ TEST_P(GbdtLeaves, AccuracyImprovesOrHoldsWithCapacity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacity, GbdtLeaves, ::testing::Values(4, 8, 32, 64));
+
+// ---------------------------------------------------------- train_models --
+// core::train_models fits its two models side by side on two threads; the
+// tsan CI job runs this test to keep that race-free.
+
+TEST(TrainModels, SideBySideFitsMatchSerialFits) {
+  const core::LabelGenResult labels{make_linear_data(2500, 51, 0.3, 7),
+                                    make_linear_data(4000, 52, 0.1, 7), {}};
+  GbdtParams params;
+  params.rounds = 80;
+  params.early_stopping_rounds = 10;
+  const core::TrainedModels models = core::train_models(labels, params, 97);
+
+  const auto saved = [](const GbdtModel& m) {
+    std::ostringstream out;
+    m.save(out);
+    return out.str();
+  };
+  auto [benefit_train, benefit_valid] = labels.benefit_data.split(0.8, 97);
+  const GbdtModel benefit =
+      GbdtModel::train(benefit_train, params, &benefit_valid);
+  auto [popularity_train, popularity_valid] =
+      labels.popularity_data.split(0.8, 98);
+  const GbdtModel popularity =
+      GbdtModel::train(popularity_train, params, &popularity_valid);
+  EXPECT_EQ(saved(*models.benefit), saved(benefit));
+  EXPECT_EQ(saved(*models.popularity), saved(popularity));
+
+  // Held-out quality, recomputed from the serial fits; equal bit for bit.
+  const auto pred = benefit.predict_batch(benefit_valid);
+  EXPECT_EQ(models.benefit_rmse, rmse(pred, benefit_valid.labels()));
+  EXPECT_EQ(models.benefit_spearman, spearman(pred, benefit_valid.labels()));
+  std::vector<std::size_t> order(pred.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return pred[a] > pred[b];
+  });
+  const std::size_t top = std::max<std::size_t>(1, order.size() / 10);
+  double top_sum = 0.0;
+  double all_sum = 0.0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    all_sum += benefit_valid.label(order[i]);
+    if (i < top) top_sum += benefit_valid.label(order[i]);
+  }
+  const double lift = (top_sum / static_cast<double>(top)) /
+                      (all_sum / static_cast<double>(order.size()));
+  EXPECT_GT(lift, 1.0);
+  EXPECT_EQ(models.benefit_top_lift, lift);
+  EXPECT_EQ(models.popularity_rmse,
+            rmse(popularity.predict_batch(popularity_valid),
+                 popularity_valid.labels()));
+}
 
 // ------------------------------------------------------------------- MLP --
 

@@ -401,7 +401,8 @@ done
 #    suite drives it (window analysis / Meta-OPT scoring / feature
 #    extraction) at 8 threads, beside its serial live-plane identity
 #    checks; the concurrency suite adds ThreadPool submit/wait_idle stress
-#    and resize races.
+#    and resize races; TrainModels runs core::train_models' two
+#    side-by-side fits.
 TSAN_DIR="${BUILD_ROOT}/tsan"
 echo "=== [tsan] configure ==="
 cmake -B "${TSAN_DIR}" -S "${ROOT}" \
@@ -411,9 +412,10 @@ cmake -B "${TSAN_DIR}" -S "${ROOT}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 echo "=== [tsan] build ==="
 cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-  --target determinism_test common_test concurrency_test meta_opt_test
+  --target determinism_test common_test concurrency_test meta_opt_test \
+  ml_test
 echo "=== [tsan] ctest (analysis plane) ==="
 ctest --test-dir "${TSAN_DIR}" --output-on-failure --timeout 300 \
-  -R '(Determinism|ParallelFor|ChunkedReduction|ThreadPool|SmallSet|MetaOpt|EvaluateWindow)'
+  -R '(Determinism|ParallelFor|ChunkedReduction|ThreadPool|SmallSet|MetaOpt|EvaluateWindow|TrainModels)'
 
 echo "=== CI OK ==="
