@@ -49,10 +49,10 @@ std::vector<std::size_t> GbdtModel::importance_ranking() const {
 
 /// Histogram-based trainer. Features are quantile-binned once into row-major
 /// codes; every leaf keeps a contiguous range of `index_`, in ascending row
-/// order, so splits partition in place. One pass over a leaf's rows fills
-/// every feature's histogram and the leaf's gradient sum, adding each row in
-/// range order, so every double sum follows the same sequence whichever
-/// features are read.
+/// order, so splits partition in place. One pass over a leaf's rows, in
+/// range order, fills every sampled feature's histogram and the leaf's
+/// gradient sum. No sum is split or rebuilt as parent minus sibling: the
+/// order of the double additions fixes every gain, and so the trees.
 class GbdtTrainer {
  public:
   GbdtTrainer(const Dataset& train, const GbdtParams& params)
@@ -288,7 +288,6 @@ class GbdtTrainer {
     sample();
 
     GbdtModel::Tree tree;
-    tree.nodes.reserve(2 * static_cast<std::size_t>(std::max(params_.max_leaves, 1)) - 1);
     tree.nodes.push_back({});
     leaves_.clear();
     Leaf root;
